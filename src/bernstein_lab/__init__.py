@@ -5,6 +5,7 @@ from .circle_means import (
     QuadratureConfig,
     logplus_integral,
     mahler_from_roots,
+    mean,
     mean_0_quadrature,
     mean_inf,
     mean_p,
@@ -69,6 +70,7 @@ __all__ = [
     "logplus_integral",
     "mahler_from_roots",
     "maximize_ratio",
+    "mean",
     "mean_0_quadrature",
     "mean_inf",
     "mean_p",

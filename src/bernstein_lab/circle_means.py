@@ -15,13 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as quad
-from .polynomials import LaurentPolynomial, horner_compensated
+from .polynomials import LaurentPolynomial, horner_compensated, horner_laurent
 from .rootfind import RootSet, roots
 
 __all__ = [
     "QuadratureConfig",
     "MeanResult",
     "NEAR_CIRCLE_THRESHOLD",
+    "mean",
     "mahler_from_roots",
     "mean_p",
     "mean_0_quadrature",
@@ -47,6 +48,10 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.start_nodes < 16:
             raise ValueError("start_nodes must be at least 16")
+        if self.max_nodes < self.start_nodes:
+            raise ValueError("max_nodes must be at least start_nodes")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError("rel_tol must be finite and positive")
 
     def to_json_dict(self) -> dict:
         return {
@@ -54,14 +59,6 @@ class QuadratureConfig:
             "max_nodes": self.max_nodes,
             "rel_tol": self.rel_tol,
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "QuadratureConfig":
-        return cls(
-            start_nodes=int(obj.get("start_nodes", 64)),
-            max_nodes=int(obj.get("max_nodes", 1 << 20)),
-            rel_tol=float(obj.get("rel_tol", 1e-10)),
-        )
 
 
 DEFAULT_GRID = QuadratureConfig()
@@ -214,68 +211,65 @@ def mean_p(
     return MeanResult(p=p, value=value, err_estimate=err, method="trapezoid")
 
 
-def mean_inf(T: LaurentPolynomial, samples: int | None = None) -> MeanResult:
-    """Sup of |T| on the circle: coarse sampling plus golden-section polish.
+def mean_inf(T: LaurentPolynomial) -> MeanResult:
+    """Sup of |T| on the circle: 16 samples per coefficient, then Newton polish.
 
-    Every local maximum of the coarse samples is refined (not only the best
-    one) so that near-tied peaks cannot silently shadow the true max. The
-    sample count must be at least 8 per coefficient, the default is 16.
+    Every local maximum of the samples (not only the best one, so near-tied
+    peaks cannot shadow the true max) is polished by Newton on d|T|^2/dt,
+    quadratically convergent since |T|^2 on the circle is a trigonometric
+    polynomial. Every value taken is a true pointwise value. err_estimate is
+    sum |j a_j|, a bound on |dT/dt|, times the largest final Newton step.
     """
-    floor = 8 * (2 * T.n + 1)
-    if samples is None:
-        samples = max(2 * floor, 64)
-    if samples < floor:
-        raise ValueError(f"need at least {floor} samples for class bound {T.n}")
     if T.is_zero():
         return MeanResult(p=math.inf, value=0.0, err_estimate=0.0, method="sampled-max")
-
-    coeffs = T.coeffs
     n = T.n
+    j = np.arange(-n, n + 1)
+    # angular-derivative series: u = T(e^{it}), u' = sum (ij) a_j e^{ijt}, ...
+    stack = np.vstack([T.coeffs, 1j * j * T.coeffs, -(j * j) * T.coeffs])
 
-    def gv(x):
-        # |T(e^{ix})| with 1/z = conj(z) on the circle; skips generic checks
-        z = np.exp(1j * x)
-        acc = np.full(z.shape, coeffs[-1])
-        for k in range(2 * n - 1, n - 1, -1):
-            acc = acc * z + coeffs[k]
-        if n:
-            w = np.conj(z)
-            neg = np.full(z.shape, coeffs[0])
-            for k in range(1, n):
-                neg = neg * w + coeffs[k]
-            acc = acc + neg * w
-        return np.abs(acc)
+    def u_series(t, rows=stack):
+        z = np.exp(1j * t)
+        return horner_laurent(rows, z, np.conj(z))
 
+    samples = max(16 * (2 * n + 1), 64)
     t = TWO_PI * np.arange(samples) / samples
-    g = gv(t)
+    g = np.abs(u_series(t, T.coeffs))
     peak = (g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
-    idx = np.nonzero(peak)[0]
-    if idx.size > 64:
-        idx = idx[np.argsort(g[idx])[-64:]]
     h = TWO_PI / samples
-    lo = t[idx] - h
-    hi = t[idx] + h
+    best = float(np.max(g))
+    tk = t[peak]
+    lo, hi = tk - h, tk + h
+    for _ in range(6):
+        u, du, ddu = u_series(tk)
+        g1 = 2.0 * np.real(np.conj(u) * du)
+        g2 = 2.0 * (np.abs(du) ** 2 + np.real(np.conj(u) * ddu))
+        step = np.where(g2 < 0.0, g1 / np.where(g2 < 0.0, g2, -1.0), 0.0)
+        tk = np.clip(tk - step, lo, hi)
+        best = max(best, float(np.max(np.abs(u))))
+    best = max(best, float(np.max(np.abs(u_series(tk, T.coeffs)))))
+    err = float(np.sum(np.abs(j * T.coeffs))) * float(np.max(np.abs(step)))
+    return MeanResult(p=math.inf, value=best, err_estimate=err, method="sampled-max")
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = gv(x1)
-    f2 = gv(x2)
-    iters = int(np.ceil(np.log(1e-9 / (2.0 * h)) / np.log(invphi)))
-    for _ in range(max(iters, 8)):
-        take_right = f1 < f2
-        lo = np.where(take_right, x1, lo)
-        hi = np.where(take_right, hi, x2)
-        x1n = np.where(take_right, x2, hi - invphi * (hi - lo))
-        x2n = np.where(take_right, lo + invphi * (hi - lo), x1)
-        fresh = gv(np.where(take_right, x2n, x1n))
-        f1, f2 = np.where(take_right, f2, fresh), np.where(take_right, fresh, f1)
-        x1, x2 = x1n, x2n
-    value = float(max(np.max(g), np.max(f1), np.max(f2)))
-    j = np.arange(-T.n, T.n + 1)
-    deriv_bound = float(np.sum(np.abs(j * T.coeffs)))
-    err = deriv_bound * float(np.max(hi - lo))
-    return MeanResult(p=math.inf, value=value, err_estimate=err, method="sampled-max")
+
+def mean(
+    T: LaurentPolynomial,
+    p: float,
+    grid: QuadratureConfig = DEFAULT_GRID,
+    roots_hint: RootSet | None = None,
+) -> MeanResult:
+    """M_p of T for any 0 <= p <= inf, by the route for that p.
+
+    p = 0 takes the product formula over the zeros of z^n T, p = inf the sup
+    of mean_inf, and every p in between mean_p. ``roots_hint``, zeros of the
+    stored z^n T (see rootfind.checked_roots), saves the root solve at p = 0
+    and at the p where mean_p needs the zeros.
+    """
+    if p == 0:
+        R = roots_hint if roots_hint is not None else roots(T.to_algebraic())
+        return mahler_from_roots(R)
+    if math.isinf(p):
+        return mean_inf(T)
+    return mean_p(T, p, grid, roots_hint=roots_hint)
 
 
 def logplus_integral(T: LaurentPolynomial, grid: QuadratureConfig = DEFAULT_GRID) -> float:

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from . import jsonio
-from .circle_means import QuadratureConfig, mahler_from_roots, mean_inf, mean_p
+from .circle_means import QuadratureConfig, mean
 from .errors import NumericFailure
 from .extremal import RATIO_CEILING, maximize_ratio
 from .polynomials import LaurentPolynomial
@@ -148,16 +148,10 @@ def cmd_means(args) -> int:
     rows = []
     for tok in tokens:
         p = parse_p(tok)
-        if p == 0.0:
-            if root_set is None:
-                root_set = roots(T.to_algebraic())
-            res = mahler_from_roots(root_set)
-        elif math.isinf(p):
-            res = mean_inf(T)
-        else:
-            if root_set is None:
-                root_set = roots(T.to_algebraic())
-            res = mean_p(T, p, grid, roots_hint=root_set)
+        # one solve serves every finite p; the sup needs no zeros
+        if root_set is None and not math.isinf(p):
+            root_set = roots(T.to_algebraic())
+        res = mean(T, p, grid, roots_hint=root_set)
         rows.append(
             {
                 "p": "inf" if math.isinf(p) else format(p, ".17g"),

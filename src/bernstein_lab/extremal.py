@@ -18,11 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .circle_means import mean_inf, mean_p
+from .circle_means import mean
 from .errors import NumericFailure
 from .polynomials import LaurentPolynomial
-from .rootfind import roots
-from .circle_means import mahler_from_roots
 
 __all__ = ["RatioTrace", "maximize_ratio", "bernstein_ratio"]
 
@@ -58,59 +56,11 @@ class RatioTrace:
         }
 
 
-def _sup_on_circle(T: LaurentPolynomial) -> float:
-    """Sup of |T| on the circle for the search objective: Newton-polished max.
-
-    Samples |T| on a uniform grid (16 per coefficient), brackets every local
-    maximum, and polishes each with Newton on d|T|^2/dt, quadratically
-    convergent since |T|^2 on the circle is a trigonometric polynomial. Every
-    evaluated value is a true pointwise value, so the result never exceeds
-    the sup. The public mean_inf op keeps the golden-section route; this one
-    trades its generality for speed inside the optimizer loop.
-    """
-    n = T.n
-    j = np.arange(-n, n + 1)
-    # angular-derivative series: u = T(e^{it}), u' = sum (ij) a_j e^{ijt}, ...
-    stack = np.vstack([T.coeffs, 1j * j * T.coeffs, -(j * j) * T.coeffs])
-
-    def u_series(t):
-        z = np.exp(1j * t)
-        pos = np.repeat(stack[:, -1:], t.shape[0], axis=1)
-        for k in range(2 * n - 1, n - 1, -1):
-            pos = pos * z + stack[:, k : k + 1]
-        if n == 0:
-            return pos
-        w = np.conj(z)
-        neg = np.repeat(stack[:, :1], t.shape[0], axis=1)
-        for k in range(1, n):
-            neg = neg * w + stack[:, k : k + 1]
-        return pos + neg * w
-
-    samples = max(16 * (2 * n + 1), 64)
-    t = 2.0 * np.pi * np.arange(samples) / samples
-    g = np.abs(u_series(t)[0])
-    peak = (g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
-    idx = np.nonzero(peak)[0]
-    h = 2.0 * np.pi / samples
-    best = float(np.max(g))
-    tk = t[idx]
-    lo, hi = tk - h, tk + h
-    for _ in range(6):
-        u, du, ddu = u_series(tk)
-        g1 = 2.0 * np.real(np.conj(u) * du)
-        g2 = 2.0 * (np.abs(du) ** 2 + np.real(np.conj(u) * ddu))
-        step = np.where(g2 < 0.0, g1 / np.where(g2 < 0.0, g2, -1.0), 0.0)
-        tk = np.clip(tk - step, lo, hi)
-        best = max(best, float(np.max(np.abs(u))))
-    best = max(best, float(np.max(np.abs(u_series(tk)[0]))))
-    return best
-
-
 def bernstein_ratio(T: LaurentPolynomial, p: float) -> float:
-    """M_p(T') / (n M_p(T)), with the cheapest exact route available per p.
+    """M_p(T') / (n M_p(T)), each mean by circle_means.mean.
 
     p = 2 uses the coefficient sums directly (the circle mean of |T|^2 is the
-    coefficient power sum), p = 0 the root-product formula on both sides.
+    coefficient power sum); this is the search's inner loop.
     Returns -1.0 for degenerate inputs (mean below the guard threshold).
     """
     n = T.n
@@ -122,15 +72,9 @@ def bernstein_ratio(T: LaurentPolynomial, p: float) -> float:
     if p == 2.0:
         num = math.sqrt(float(np.sum(np.abs(dT.coeffs) ** 2)))
         den = math.sqrt(float(np.sum(np.abs(T.coeffs) ** 2)))
-    elif p == 0.0:
-        den = mahler_from_roots(roots(T.to_algebraic())).value
-        num = 0.0 if dT.is_zero() else mahler_from_roots(roots(dT.to_algebraic())).value
-    elif math.isinf(p):
-        den = _sup_on_circle(T)
-        num = _sup_on_circle(dT)
     else:
-        den = mean_p(T, p).value
-        num = 0.0 if dT.is_zero() else mean_p(dT, p).value
+        den = mean(T, p).value
+        num = 0.0 if dT.is_zero() else mean(dT, p).value
     if den < DEGENERATE_MEAN:
         return -1.0
     return num / (n * den)

@@ -20,6 +20,8 @@ __all__ = [
     "RootSet",
     "from_roots",
     "laurent_from_algebraic",
+    "horner",
+    "horner_laurent",
     "horner_compensated",
 ]
 
@@ -89,22 +91,9 @@ class LaurentPolynomial:
 
         Accepts a scalar or an ndarray of nonzero points.
         """
-        scalar = np.isscalar(z) or np.ndim(z) == 0
-        zz = np.asarray(z, dtype=complex)
-        if np.any(zz == 0):
+        if np.any(np.asarray(z) == 0):
             raise ZeroDivisionError("Laurent polynomial undefined at 0")
-        n = self.n
-        pos = np.full_like(zz, self.coeffs[-1])
-        for k in range(2 * n - 1, n - 1, -1):
-            pos = pos * zz + self.coeffs[k]
-        if n == 0:
-            return complex(pos) if scalar else pos
-        w = 1.0 / zz
-        neg = np.full_like(zz, self.coeffs[0])
-        for k in range(1, n):
-            neg = neg * w + self.coeffs[k]
-        total = pos + neg * w
-        return complex(total) if scalar else total
+        return horner_laurent(self.coeffs, z)
 
     def on_circle(self, t):
         """Values T(e^{it}) for an array (or scalar) of angles t."""
@@ -115,6 +104,10 @@ class LaurentPolynomial:
 
         The exponent window widens by one instead of asserting which end
         coefficients cancel; callers needing a tight class call deflated().
+        Each coefficient j a_j is rounded to double, so every mean of the
+        result is that of the rounded derivative: for a product of 32
+        unimodular factors M_0 moves by up to 1.5e-8 relative from the exact
+        derivative of the stored T.
         """
         m = self.n + 1
         out = np.zeros(2 * m + 1, dtype=complex)
@@ -231,12 +224,7 @@ class AlgebraicPolynomial:
         return not np.any(self.coeffs)
 
     def __call__(self, z):
-        scalar = np.isscalar(z) or np.ndim(z) == 0
-        zz = np.asarray(z, dtype=complex)
-        acc = np.full_like(zz, self.coeffs[-1])
-        for k in range(self.coeffs.shape[0] - 2, -1, -1):
-            acc = acc * zz + self.coeffs[k]
-        return complex(acc) if scalar else acc
+        return horner(self.coeffs, z)
 
     def derivative(self) -> "AlgebraicPolynomial":
         if self.coeffs.shape[0] == 1:
@@ -292,6 +280,42 @@ def laurent_from_algebraic(P: AlgebraicPolynomial, n: int) -> LaurentPolynomial:
     coeffs = np.zeros(2 * n + 1, dtype=complex)
     coeffs[: P.coeffs.shape[0]] = P.coeffs[: 2 * n + 1]
     return LaurentPolynomial(n, coeffs)
+
+
+def horner(coeffs, z):
+    """sum_j coeffs[..., j] z^j by Horner's scheme, at a scalar or an array z.
+
+    Rows stacked on the leading axes of ``coeffs`` are evaluated together:
+    the result has shape coeffs.shape[:-1] + z.shape. One row at a scalar z
+    gives a complex.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    zz = np.asarray(z, dtype=complex)
+    # coefficient axis first, then the row axes, then one axis per axis of z
+    c = c.reshape(-1, c.shape[-1]).T.reshape(c.shape[-1:] + c.shape[:-1] + (1,) * zz.ndim)
+    acc = c[-1]
+    for ck in c[-2::-1]:
+        acc = acc * zz + ck
+    if c.shape[0] == 1:  # no step has spread the constant over z
+        acc = acc + np.zeros_like(zz)
+    return complex(acc) if acc.ndim == 0 else acc
+
+
+def horner_laurent(coeffs, z, w=None):
+    """sum_{j=-n}^{n} coeffs[..., j + n] z^j, stacked rows as in ``horner``.
+
+    Horner in z for j >= 0 plus Horner in w for j < 0. w defaults to 1/z;
+    on the unit circle conj(z) is the same point and costs no division.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    n = (c.shape[-1] - 1) // 2
+    pos = horner(c[..., n:], z)
+    if n == 0:
+        return pos
+    # w as an array, so a scalar point rounds as it does inside an array
+    w = np.asarray(1.0 / np.asarray(z, dtype=complex) if w is None else w)
+    total = pos + horner(c[..., n - 1 :: -1], w) * w
+    return complex(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,21 @@
-"""Simultaneous root finding and unit-circle classification.
+"""Root finding and unit-circle classification.
 
-The solver is Aberth-Ehrlich: all roots are iterated together, each update
-being a Newton step divided by the repulsion from the other iterates. This
-avoids a general eigensolver and is O(deg^2) per sweep, plenty for the
-degrees (<= 200) this package targets. Multiple roots are returned as nearby
-simple roots; every downstream formula is continuous in the roots, so
-clusters are harmless at our tolerances.
+The zeros come from the eigenvalues of the companion matrix (numpy.roots,
+LAPACK), which are backward stable (Edelman and Murakami, Math. Comp. 64,
+1995), polished by per-root Newton steps that are kept only where they
+lower |P|. Multiple roots are returned as nearby simple roots; every
+downstream formula is continuous in the roots, so clusters are harmless at
+our tolerances.
 
 Every root set is judged against the stored double-precision coefficients by
 its Weierstrass residual, with P(z_k) evaluated by compensated Horner where
 plain Horner cannot resolve it. Double precision does not always pin the
 zeros: products of many unimodular factors have coefficients five orders
-above |P| on the circle, and Aberth then plateaus. A solve whose residual
-stays above MAX_RESIDUAL is continued on the same coefficients in extended
-precision (Bini and Fiorentino, Numer. Algorithms 23, 2000): Aberth steps on
-compensated-Horner values first, mpmath at _ESCALATION_DPS digits if those
-miss too. NumericFailure is raised only when the mpmath solve fails as well.
+above |P| on the circle. A solve whose residual stays above MAX_RESIDUAL is
+continued on the same coefficients in extended precision (Bini and
+Fiorentino, Numer. Algorithms 23, 2000): Aberth steps on compensated-Horner
+values first, mpmath at _ESCALATION_DPS digits if those miss too.
+NumericFailure is raised only when the mpmath solve fails as well.
 Generative root sets (planted zeros) go through ``checked_roots``, which holds
 them to the same rule, refining them by the same extended-precision steps
 when they miss it.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .polynomials import AlgebraicPolynomial, RootSet, horner_compensated
+from .polynomials import AlgebraicPolynomial, RootSet, horner, horner_compensated
 
 __all__ = [
     "roots",
@@ -41,9 +41,6 @@ __all__ = [
 
 DEFAULT_CIRCLE_EPS = 1e-9
 
-_MAX_ITER = 500
-_MAX_ATTEMPTS = 6
-_STAGNATION_WINDOW = 60
 # Largest Weierstrass residual at which a root set, solved or supplied as a
 # hint, is taken as the zeros of the stored coefficients. The residual is
 # about each root's distance to a zero of the stored coefficients, and M_0
@@ -58,25 +55,13 @@ _ESCALATION_MAXSTEPS = 400
 
 
 def _horner_pair(c: np.ndarray, z: np.ndarray):
-    """Vectorized value and derivative of sum c_j z^j at the points z."""
-    p = np.full_like(z, c[-1])
-    dp = np.zeros_like(z)
-    for k in range(c.shape[0] - 2, -1, -1):
-        dp = dp * z + p
-        p = p * z + c[k]
-    return p, dp
-
-
-def _weierstrass_residual(c: np.ndarray, z: np.ndarray) -> float:
-    """max_k |P(z_k)| / (|lead| prod_{j!=k} |z_k - z_j|), the convergence gauge."""
-    p, _ = _horner_pair(c, z)
-    return _residual_from_values(c, z, np.abs(p))
+    """Value and derivative of sum c_j z^j at the points z, as two stacked rows."""
+    dc = np.zeros_like(c)
+    dc[:-1] = np.arange(1, c.shape[0]) * c[1:]
+    return horner(np.vstack([c, dc]), z)
 
 
 def _residual_from_values(c: np.ndarray, z: np.ndarray, abs_p: np.ndarray) -> float:
-    d = z.shape[0]
-    if d == 1:
-        return float(np.max(abs_p) / np.abs(c[-1]))
     diff = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(diff, 1.0)
     logprod = np.sum(np.log(np.maximum(diff, 1e-300)), axis=1)
@@ -115,30 +100,15 @@ def _residual_within(c: np.ndarray, z: np.ndarray, limit: float) -> tuple[bool, 
 
 def _newton_polish(c: np.ndarray, z: np.ndarray, iters: int = 8) -> np.ndarray:
     """Per-root Newton steps, keeping each update only if |P| decreased."""
-    pv, _ = _horner_pair(c, z)
-    best_abs = np.abs(pv)
-    best = z.copy()
-    cur = z.copy()
-    for _ in range(iters):
+    best = cur = z
+    best_abs = np.full(z.shape, np.inf)
+    for _ in range(iters + 1):
         pv, dpv = _horner_pair(c, cur)
-        dpv = np.where(np.abs(dpv) < 1e-300, 1e-300 + 0j, dpv)
-        cur = cur - pv / dpv
-        pv, _ = _horner_pair(c, cur)
         improved = np.abs(pv) < best_abs
         best = np.where(improved, cur, best)
         best_abs = np.where(improved, np.abs(pv), best_abs)
+        cur = cur - pv / np.where(np.abs(dpv) < 1e-300, 1e-300 + 0j, dpv)
     return best
-
-
-def _initial_points(c: np.ndarray, rng: np.random.Generator, attempt: int) -> np.ndarray:
-    d = c.shape[0] - 1
-    radius = (np.abs(c[0]) / np.abs(c[-1])) ** (1.0 / d)
-    radius = min(max(radius, 1e-6), 1e6)
-    angles = 2.0 * np.pi * (np.arange(d) + 0.5) / d + 0.45
-    if attempt == 0:
-        return radius * np.exp(1j * angles)
-    jitter = rng.normal(scale=0.3, size=d) + 1j * rng.normal(scale=0.3, size=d)
-    return radius * np.exp(1j * (angles + rng.uniform(0, 2 * np.pi))) * (1.0 + jitter)
 
 
 def _aberth_step(z: np.ndarray, p: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -150,54 +120,6 @@ def _aberth_step(z: np.ndarray, p: np.ndarray, dp: np.ndarray) -> np.ndarray:
     denom = 1.0 - newton * np.sum(1.0 / diff, axis=1)
     denom = np.where(np.abs(denom) < 1e-300, 1e-300 + 0j, denom)
     return newton / denom
-
-
-def _aberth(c: np.ndarray, tol: float) -> np.ndarray:
-    """Roots of c_0 + c_1 z + ... + c_d z^d (c_0, c_d != 0, d >= 1): best iterate found.
-
-    Stops at residual tol or when every restart stagnates; the caller judges
-    the result against the stored coefficients.
-    """
-    d = c.shape[0] - 1
-    if d == 1:
-        return np.array([-c[0] / c[1]])
-    if d == 2:
-        a2, a1, a0 = c[2], c[1], c[0]
-        disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0 + 0j)
-        if abs(a1 + disc) < abs(a1 - disc):
-            disc = -disc
-        q = -0.5 * (a1 + disc)
-        return np.array([q / a2, a0 / q])
-
-    rng = np.random.default_rng(0x5EED)
-    best_res = np.inf
-    best_z = None
-    for attempt in range(_MAX_ATTEMPTS):
-        z = _initial_points(c, rng, attempt)
-        res_hist = []
-        for _ in range(_MAX_ITER):
-            p, dp = _horner_pair(c, z)
-            z = z - _aberth_step(z, p, dp)
-            res = _weierstrass_residual(c, z)
-            res_hist.append(res)
-            if res < best_res:
-                best_res, best_z = res, z.copy()
-            if res <= tol:
-                return _newton_polish(c, z)
-            if (
-                len(res_hist) > _STAGNATION_WINDOW
-                and res > 0.5 * res_hist[-_STAGNATION_WINDOW]
-            ):
-                break
-        if best_res <= max(100.0 * tol, 1e-9):
-            # solidly converged; a random restart cannot improve on this
-            break
-    if best_z is None:
-        raise NumericFailure("root iteration produced no finite iterate")
-    polished = _newton_polish(c, best_z, iters=16)
-    if _weierstrass_residual(c, polished) < best_res:
-        return polished
-    return best_z
 
 
 def _refined(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -255,18 +177,18 @@ def _scaled(c: np.ndarray) -> np.ndarray:
     return c / 2.0 ** np.frexp(np.max(np.abs(c)))[1]
 
 
-def roots(P: AlgebraicPolynomial, tol: float = 1e-12) -> RootSet:
+def roots(P: AlgebraicPolynomial) -> RootSet:
     """All zeros of P, multiplicities listed repeatedly.
 
     High-order zero coefficients are stripped first (counted in
     degree_deficit); low-order zero coefficients become exact roots at the
-    origin. Aberth iterates in double precision towards residual ``tol``.
-    When its best iterate has a Weierstrass residual above MAX_RESIDUAL
-    against the stored coefficients, the same coefficients are solved again
-    in extended precision: Aberth steps on compensated-Horner values, then,
-    if those still miss, mpmath.polyroots. NumericFailure is raised only when
-    the mpmath solve does not converge or its roots, rounded to double, still
-    miss MAX_RESIDUAL.
+    origin. The rest are companion-matrix eigenvalues polished by Newton
+    steps. When they have a Weierstrass residual above MAX_RESIDUAL against
+    the stored coefficients, the same coefficients are solved again in
+    extended precision: Aberth steps on compensated-Horner values, then, if
+    those still miss, mpmath.polyroots. NumericFailure is raised when the
+    eigenvalue solve fails, or when the mpmath solve does not converge or its
+    roots, rounded to double, still miss MAX_RESIDUAL.
     """
     if P.is_zero():
         raise ValueError("zero polynomial has no root set")
@@ -279,7 +201,12 @@ def roots(P: AlgebraicPolynomial, tol: float = 1e-12) -> RootSet:
     found = np.zeros(0, dtype=complex)
     if c.shape[0] > 1:
         scaled = _scaled(c)
-        found = _aberth(scaled, tol)
+        try:
+            found = _newton_polish(scaled, np.roots(scaled[::-1]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailure(
+                f"companion eigenvalues failed at degree {c.shape[0] - 1}"
+            ) from exc
         if not _residual_within(scaled, found, MAX_RESIDUAL)[0]:
             found = _escalated(scaled, found)
     all_roots = np.concatenate([np.zeros(origin_mult, dtype=complex), found])

@@ -7,6 +7,7 @@ from bernstein_lab.circle_means import (
     QuadratureConfig,
     logplus_integral,
     mahler_from_roots,
+    mean,
     mean_0_quadrature,
     mean_inf,
     mean_p,
@@ -127,11 +128,6 @@ class TestMeanInf:
     def test_z_minus_two_attains_at_minus_one(self):
         assert mean_inf(LaurentPolynomial(1, [0, -2, 1])).value == pytest.approx(3.0, rel=1e-12)
 
-    def test_sample_floor_enforced(self):
-        T = LaurentPolynomial(4, np.ones(9))
-        with pytest.raises(ValueError):
-            mean_inf(T, samples=20)
-
     def test_dominates_finite_means(self):
         rng = np.random.default_rng(40)
         for _ in range(10):
@@ -139,6 +135,34 @@ class TestMeanInf:
             mi = mean_inf(T).value
             for p in (1.0, 2.0, 8.0):
                 assert mean_p(T, p).value <= mi + 1e-9
+
+    @pytest.mark.parametrize(
+        "T",
+        [
+            LaurentPolynomial(0, [3 - 4j]),
+            LaurentPolynomial.monomial(3, -2, 1.5j),
+            LaurentPolynomial.zero(2),
+            LaurentPolynomial(1, [0, -2, 1]),
+            LaurentPolynomial(4, [1, 1j] @ np.random.default_rng(41).normal(size=(2, 9))),
+        ],
+    )
+    def test_value_plus_error_covers_dense_grid(self, T):
+        t = 2 * np.pi * np.arange(1 << 18) / (1 << 18)
+        dense = float(np.max(np.abs(T.on_circle(t))))
+        res = mean_inf(T)
+        assert res.value + res.err_estimate >= dense
+        assert res.value <= dense + 1e-8 * dense
+
+
+class TestMeanDispatch:
+    def test_each_p_takes_its_route(self):
+        rng = np.random.default_rng(42)
+        T, R = planted(rng, 3, inside=3, outside=3)
+        assert mean(T, 0.0, roots_hint=R) == mahler_from_roots(R)
+        assert mean(T, 0.0) == mahler_from_roots(roots(T.to_algebraic()))
+        assert mean(T, 0.5, roots_hint=R) == mean_p(T, 0.5, roots_hint=R)
+        assert mean(T, 2.0) == mean_p(T, 2.0)
+        assert mean(T, math.inf) == mean_inf(T)
 
 
 class TestLogPlus:

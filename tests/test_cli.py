@@ -77,6 +77,21 @@ class TestMeans:
         path.write_text(json.dumps({"n": 2, "coeffs": [[1, 0]]}))
         assert main(["means", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--start-nodes", "8"],
+            ["--max-nodes", "8"],
+            ["--rel-tol", "0"],
+            ["--rel-tol", "-1"],
+            ["--rel-tol", "nan"],
+            ["--rel-tol", "inf"],
+        ],
+    )
+    def test_bad_grid_exit_2(self, poly_file, capsys, flags):
+        assert main(["means", poly_file, "--p", "0.5,3", *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_pass_run_and_reproducibility(self, tmp_path, capsys):

@@ -7,6 +7,8 @@ from bernstein_lab.polynomials import (
     AlgebraicPolynomial,
     LaurentPolynomial,
     from_roots,
+    horner,
+    horner_laurent,
     laurent_from_algebraic,
 )
 
@@ -50,6 +52,33 @@ class TestEval:
         z = rng.normal(size=7) + 1j * rng.normal(size=7)
         vec = T(z)
         assert np.allclose(vec, [T(w) for w in z], rtol=1e-14)
+
+
+class TestHorner:
+    def test_stacked_rows_match_row_by_row(self):
+        rng = np.random.default_rng(8)
+        rows = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
+        z = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+        stacked = horner(rows, z)
+        two_sided = horner_laurent(rows, z)
+        assert stacked.shape == two_sided.shape == (3, 4, 5)
+        for r, c in enumerate(rows):
+            assert np.array_equal(stacked[r], horner(c, z))
+            assert np.array_equal(two_sided[r], LaurentPolynomial(3, c)(z))
+            naive = sum(c[j] * z**j for j in range(7))
+            assert np.max(np.abs(stacked[r] - naive)) <= 1e-12 * np.max(np.abs(naive))
+
+    def test_scalar_point_gives_complex(self):
+        rng = np.random.default_rng(9)
+        c = rng.normal(size=9) + 1j * rng.normal(size=9)
+        z = rng.normal(size=6) + 1j * rng.normal(size=6)
+        T = LaurentPolynomial(4, c)
+        for k, w in enumerate(z):
+            for f in (lambda x: horner(c, x), AlgebraicPolynomial(c), T):
+                value = f(w)
+                assert type(value) is complex
+                # a point rounds the same alone as inside an array
+                assert value == f(z)[k]
 
 
 class TestDerivative:

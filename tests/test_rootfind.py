@@ -56,7 +56,7 @@ class TestRoots:
             if np.min(np.abs(np.subtract.outer(zs, zs) + np.eye(12))) < 1e-2:
                 continue
             P = from_roots(2.0, zs)
-            R = roots(P, tol=tol)
+            R = roots(P)
             residual = np.max(np.abs(P(R.roots)))
             assert residual <= tol * (1.0 + np.max(np.abs(P.coeffs)))
 
