@@ -9,6 +9,7 @@ from .circle_means import (
     mean_0_quadrature,
     mean_inf,
     mean_p,
+    means,
 )
 from .constructions import (
     ReflectionOutput,
@@ -74,6 +75,7 @@ __all__ = [
     "mean_0_quadrature",
     "mean_inf",
     "mean_p",
+    "means",
     "mu_moment",
     "perturb_by_en",
     "reflect_outside",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "MeanResult",
     "NEAR_CIRCLE_THRESHOLD",
     "mean",
+    "means",
     "mahler_from_roots",
     "mean_p",
     "mean_0_quadrature",
@@ -93,8 +95,8 @@ def _near_circle_angles(R: RootSet, threshold: float = NEAR_CIRCLE_THRESHOLD) ->
     return np.sort(np.angle(R.roots[near])) % TWO_PI
 
 
-def _abs_on_circle(T: LaurentPolynomial, p: float, rel_tol: float):
-    """|T(e^{it})| as a vectorized function of t, for M_p (p >= 0) good to ``rel_tol``.
+def _abs_on_circle(T: LaurentPolynomial, rel_tol: float):
+    """|T(e^{it})| for M_p (p >= 0) good to ``rel_tol``, one batch of angles at a time.
 
     Rounding in two-sided Horner adds up like a random walk over its 2n + 1
     steps (Higham, Accuracy and Stability of Numerical Algorithms, 2.8), so
@@ -108,21 +110,37 @@ def _abs_on_circle(T: LaurentPolynomial, p: float, rel_tol: float):
     Near the clustered zeros of a product of unimodular factors, whose
     coefficients are five orders above |T|, the plain value is rounding
     noise.
+
+    The returned function evaluates |T| at a batch of angles t once, by plain
+    Horner, and returns a function of p giving the values M_p uses there, so
+    every p reading the batch shares that evaluation. Each p decides on
+    compensation by its own weights; the compensated values are computed at
+    most once per batch.
     """
     bound = math.sqrt(2 * T.n + 1) * 2.0**-53 * float(np.sum(np.abs(T.coeffs)))
 
-    def g(t):
+    def at(t):
         z = np.exp(1j * np.asarray(t, dtype=float))
         v = np.abs(T(z))
         if bound <= rel_tol * np.min(v):
-            return v
+            return lambda p: v
         slack = bound / np.maximum(v, 1e-300)
-        if np.average(slack, weights=(v / np.max(v)) ** p if p else None) > rel_tol:
-            noisy = slack > rel_tol
-            v[noisy] = np.abs(horner_compensated(T.coeffs, z[noisy]))
-        return v
 
-    return g
+        @cache
+        def compensated():
+            noisy = slack > rel_tol
+            w = v.copy()
+            w[noisy] = np.abs(horner_compensated(T.coeffs, z[noisy]))
+            return w
+
+        def for_p(p):
+            if np.average(slack, weights=(v / np.max(v)) ** p if p else None) > rel_tol:
+                return compensated()
+            return v
+
+        return for_p
+
+    return at
 
 
 def mean_0_quadrature(
@@ -142,10 +160,10 @@ def mean_0_quadrature(
     """
     _reject_zero(T)
     scale = float(np.max(np.abs(T.coeffs)))
-    g = _abs_on_circle(T, 0.0, grid.rel_tol)
+    at = _abs_on_circle(T, grid.rel_tol)
 
     def f(t):
-        return np.log(np.maximum(g(t) / scale, 1e-300))
+        return np.log(np.maximum(at(t)(0.0) / scale, 1e-300))
 
     angles = _near_circle_angles(R)
     if angles.size == 0:
@@ -182,33 +200,12 @@ def mean_p(
     mean. ``roots_hint`` skips the internal root solve when the caller
     already has the zeros of the stored z^n T (rootfind.checked_roots checks
     a generative root set against them). |T| is evaluated as in
-    mean_0_quadrature.
+    mean_0_quadrature. This is the one-element case of ``means``, which runs
+    several p through one trapezoid pass.
     """
-    _reject_zero(T)
     if not p > 0 or math.isinf(p):
         raise ValueError("mean_p needs a finite p > 0")
-    scale = float(np.max(np.abs(T.coeffs)))
-    g = _abs_on_circle(T, p, grid.rel_tol)
-
-    def f(t):
-        return g(t) ** p / scale**p
-
-    angles = np.zeros(0)
-    if not _is_even_integer(p):
-        R = roots_hint if roots_hint is not None else roots(T.to_algebraic())
-        angles = _near_circle_angles(R)
-    if angles.size:
-        raw, raw_err = quad.singular_circle_mean(
-            f, angles, 2 * T.n, grid.rel_tol, absolute=False
-        )
-        value = scale * raw ** (1.0 / p)
-        err = value * raw_err / (p * max(raw, 1e-300))
-        return MeanResult(p=p, value=value, err_estimate=err, method="adaptive-singular")
-    transform = lambda raw: scale * max(raw, 0.0) ** (1.0 / p)
-    _, value, err, _ = quad.periodic_mean_doubling(
-        f, grid.start_nodes, grid.max_nodes, grid.rel_tol, transform=transform
-    )
-    return MeanResult(p=p, value=value, err_estimate=err, method="trapezoid")
+    return means(T, [p], grid, roots_hint)[0]
 
 
 def mean_inf(T: LaurentPolynomial) -> MeanResult:
@@ -257,19 +254,77 @@ def mean(
     grid: QuadratureConfig = DEFAULT_GRID,
     roots_hint: RootSet | None = None,
 ) -> MeanResult:
-    """M_p of T for any 0 <= p <= inf, by the route for that p.
+    """M_p of T for any 0 <= p <= inf: the one-element case of ``means``."""
+    return means(T, [p], grid, roots_hint)[0]
+
+
+def means(
+    T: LaurentPolynomial,
+    ps,
+    grid: QuadratureConfig = DEFAULT_GRID,
+    roots_hint: RootSet | None = None,
+) -> list[MeanResult]:
+    """M_p of T for each p of ``ps`` (0 <= p <= inf), in the order given.
 
     p = 0 takes the product formula over the zeros of z^n T, p = inf the sup
-    of mean_inf, and every p in between mean_p. ``roots_hint``, zeros of the
-    stored z^n T (see rootfind.checked_roots), saves the root solve at p = 0
-    and at the p where mean_p needs the zeros.
+    of mean_inf, and every p in between mean_p's quadrature. The p on the
+    trapezoid route share one doubling pass: |T| is evaluated once per node
+    for all of them, and each keeps its own running sum and stopping level.
+    The singular-panel route runs per p. The zeros are solved at most once,
+    and only when a p reads them: p = 0, or a finite p that is not an even
+    integer. ``roots_hint``, zeros of the stored z^n T (see
+    rootfind.checked_roots), saves that solve.
     """
-    if p == 0:
-        R = roots_hint if roots_hint is not None else roots(T.to_algebraic())
-        return mahler_from_roots(R)
-    if math.isinf(p):
-        return mean_inf(T)
-    return mean_p(T, p, grid, roots_hint=roots_hint)
+    ps = list(ps)
+    finite = [i for i, p in enumerate(ps) if p != 0 and not math.isinf(p)]
+    if finite:
+        _reject_zero(T)
+        if not all(ps[i] > 0 for i in finite):
+            raise ValueError("mean_p needs a finite p > 0")
+    odd = [i for i in finite if not _is_even_integer(ps[i])]
+    R = roots_hint
+    if R is None and (odd or 0 in ps):
+        R = roots(T.to_algebraic())
+    out = [None] * len(ps)
+    for i, p in enumerate(ps):
+        if p == 0:
+            out[i] = mahler_from_roots(R)
+        elif math.isinf(p):
+            out[i] = mean_inf(T)
+    if not finite:
+        return out
+    scale = float(np.max(np.abs(T.coeffs)))
+    at = _abs_on_circle(T, grid.rel_tol)
+    # |T|^p is smooth at a zero on the circle only for even p
+    angles = _near_circle_angles(R) if odd else np.zeros(0)
+    singular = odd if angles.size else []
+    for i in singular:
+        p = ps[i]
+
+        def f(t, p=p, scale_p=scale**p):
+            return at(t)(p) ** p / scale_p
+
+        raw, raw_err = quad.singular_circle_mean(
+            f, angles, 2 * T.n, grid.rel_tol, absolute=False
+        )
+        value = scale * raw ** (1.0 / p)
+        err = value * raw_err / (p * max(raw, 1e-300))
+        out[i] = MeanResult(p=p, value=value, err_estimate=err, method="adaptive-singular")
+    smooth = [i for i in finite if i not in singular]
+    if smooth:
+        qs = [ps[i] for i in smooth]
+        _, values, errs, _ = quad.periodic_mean_doubling(
+            at,
+            grid.start_nodes,
+            grid.max_nodes,
+            grid.rel_tol,
+            transform=[lambda raw, q=q: scale * max(raw, 0.0) ** (1.0 / q) for q in qs],
+            integrands=[lambda abs_for, q=q, scale_q=scale**q: abs_for(q) ** q / scale_q
+                        for q in qs],
+        )
+        for i, value, err in zip(smooth, values, errs):
+            out[i] = MeanResult(p=ps[i], value=value, err_estimate=err, method="trapezoid")
+    return out
 
 
 def logplus_integral(T: LaurentPolynomial, grid: QuadratureConfig = DEFAULT_GRID) -> float:

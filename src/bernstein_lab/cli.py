@@ -18,11 +18,10 @@ import sys
 from dataclasses import dataclass
 
 from . import jsonio
-from .circle_means import QuadratureConfig, mean
+from .circle_means import QuadratureConfig, means
 from .errors import NumericFailure
 from .extremal import RATIO_CEILING, maximize_ratio
 from .polynomials import LaurentPolynomial
-from .rootfind import roots
 from .verify import (
     CLAIMS,
     DISTRIBUTIONS,
@@ -144,22 +143,16 @@ def cmd_means(args) -> int:
     fmt = _resolve(args, config, "format", "csv")
     out_path = _resolve(args, config, "out", None)
 
-    root_set = None
-    rows = []
-    for tok in tokens:
-        p = parse_p(tok)
-        # one solve serves every finite p; the sup needs no zeros
-        if root_set is None and not math.isinf(p):
-            root_set = roots(T.to_algebraic())
-        res = mean(T, p, grid, roots_hint=root_set)
-        rows.append(
-            {
-                "p": "inf" if math.isinf(p) else format(p, ".17g"),
-                "value": res.value,
-                "err": res.err_estimate,
-                "method": res.method,
-            }
-        )
+    ps = [parse_p(tok) for tok in tokens]
+    rows = [
+        {
+            "p": "inf" if math.isinf(p) else format(p, ".17g"),
+            "value": res.value,
+            "err": res.err_estimate,
+            "method": res.method,
+        }
+        for p, res in zip(ps, means(T, ps, grid))
+    ]
 
     run = RunConfig(
         command="means",
@@ -389,7 +382,7 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

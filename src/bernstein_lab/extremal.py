@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .circle_means import mean
 from .errors import NumericFailure
@@ -166,6 +165,8 @@ def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int, step: float =
 
 def _one_restart(n: int, p: float, budget: int, seed: int, restart: int):
     """One random start: a Nelder-Mead leg, then a pattern-search polish."""
+    from scipy.optimize import minimize
+
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(restart,))
     )
@@ -231,6 +232,10 @@ def maximize_ratio(
         raise ValueError("class bound must be at least 1")
     if budget < 100:
         raise ValueError("budget below any useful search length")
+    # scipy is loaded here, not at package import, so means and verify never
+    # pay for it; loading it before the pool starts lets forked workers inherit it
+    import scipy.optimize  # noqa: F401
+
     args = [(n, p, budget, seed, r) for r in range(restarts)]
     if jobs is None:
         jobs = min(os.cpu_count() or 1, restarts)

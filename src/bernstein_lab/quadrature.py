@@ -44,6 +44,7 @@ def periodic_mean_doubling(
     rel_tol: float,
     transform=None,
     absolute: bool = False,
+    integrands=None,
 ):
     """Mean of f over [0, 2pi) by uniform sampling with node doubling.
 
@@ -52,25 +53,43 @@ def periodic_mean_doubling(
     default, absolute when ``absolute`` (for log-scale integrands whose mean
     may legitimately sit near zero). Returns (raw_mean, transformed, err, nodes)
     where err is the last refinement delta on the transformed value.
+
+    With ``integrands``, a list of k callables, one pass computes k means on
+    the same nodes: f(t) evaluates what they share once per batch of nodes,
+    integrands[i](f(t)) gives the values of integrand i, and ``transform`` is
+    a list of k callables. Each integrand keeps its own running sum and stops
+    at its own level, and is not evaluated after it stops. raw_mean,
+    transformed and err are then lists of k floats; nodes is the largest node
+    count reached.
     """
-    if transform is None:
-        transform = lambda x: x
+    single = integrands is None
+    if single:
+        integrands, transform = [lambda v: v], [transform]
+    transforms = [(lambda x: x) if tr is None else tr for tr in transform]
     n = max(int(start_nodes), 8)
-    t = TWO_PI * np.arange(n) / n
-    total = float(np.sum(f(t)))
-    prev = transform(total / n)
-    err = np.inf
-    while n < max_nodes:
-        mids = TWO_PI * (np.arange(n) + 0.5) / n
-        total += float(np.sum(f(mids)))
+    shared = f(TWO_PI * np.arange(n) / n)
+    totals = [float(np.sum(g(shared))) for g in integrands]
+    raw = [total / n for total in totals]
+    prev = [tr(x) for tr, x in zip(transforms, raw)]
+    err = [np.inf] * len(integrands)
+    active = list(range(len(integrands)))
+    while active and n < max_nodes:
+        shared = f(TWO_PI * (np.arange(n) + 0.5) / n)
         n *= 2
-        cur = transform(total / n)
-        err = abs(cur - prev)
-        scale = 1.0 if absolute else max(abs(cur), 1e-300)
-        if err <= rel_tol * scale:
-            return total / n, cur, err, n
-        prev = cur
-    return total / n, prev, err, n
+        still = []
+        for i in active:
+            totals[i] += float(np.sum(integrands[i](shared)))
+            raw[i] = totals[i] / n
+            cur = transforms[i](raw[i])
+            err[i] = abs(cur - prev[i])
+            prev[i] = cur
+            scale = 1.0 if absolute else max(abs(cur), 1e-300)
+            if err[i] > rel_tol * scale:
+                still.append(i)
+        active = still
+    if single:
+        return raw[0], prev[0], err[0], n
+    return raw, prev, err, n
 
 
 def graded_edges(

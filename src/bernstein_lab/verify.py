@@ -25,6 +25,7 @@ from .circle_means import (
     mahler_from_roots,
     mean,
     mean_0_quadrature,
+    means,
 )
 from .constructions import perturb_by_en, reflect_outside, smoothed_logplus, mu_moment
 from .errors import NumericFailure
@@ -458,7 +459,7 @@ def check_monotone_p(
         raise ValueError("p grid must be strictly ascending, positive and finite")
     R = checked_roots(T.to_algebraic(), roots_hint)
     ladder = [0.0, *ps, math.inf]
-    values = [mean(T, q, grid, roots_hint=R).value for q in ladder]
+    values = [res.value for res in means(T, ladder, grid, roots_hint=R)]
     labels = [f"{q:g}" for q in ladder]
     worst = None
     for (a, la), (b, lb) in zip(zip(values, labels), zip(values[1:], labels[1:])):

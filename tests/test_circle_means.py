@@ -11,6 +11,7 @@ from bernstein_lab.circle_means import (
     mean_0_quadrature,
     mean_inf,
     mean_p,
+    means,
 )
 from bernstein_lab.polynomials import (
     LaurentPolynomial,
@@ -163,6 +164,59 @@ class TestMeanDispatch:
         assert mean(T, 0.5, roots_hint=R) == mean_p(T, 0.5, roots_hint=R)
         assert mean(T, 2.0) == mean_p(T, 2.0)
         assert mean(T, math.inf) == mean_inf(T)
+
+
+class TestSharedLadder:
+    """``means`` runs every finite p through one trapezoid pass; each value
+    must be bitwise the one mean_p gives for that p alone."""
+
+    LADDER = (0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 16.0, math.inf)
+
+    def test_ladder_equals_per_p_means(self, monkeypatch):
+        from bernstein_lab import circle_means
+        from bernstein_lab.rootfind import checked_roots
+        from bernstein_lab.verify import DISTRIBUTIONS, SampleSpec, sample_with_roots
+
+        compensated = []
+        horner_compensated = circle_means.horner_compensated
+
+        def counting(coeffs, z):
+            compensated.append(np.size(z))
+            return horner_compensated(coeffs, z)
+
+        monkeypatch.setattr(circle_means, "horner_compensated", counting)
+        seen_compensated = seen_near = False
+        for dist in DISTRIBUTIONS:
+            for n in (1, 4, 16):
+                spec = SampleSpec(n, dist, 2024, 2)
+                for index in range(spec.count):
+                    T, planted = sample_with_roots(spec, index)
+                    R = checked_roots(T.to_algebraic(), planted)
+                    del compensated[:]
+                    ladder = means(T, self.LADDER, roots_hint=R)
+                    seen_compensated |= bool(compensated)
+                    seen_near |= bool(np.any(np.abs(np.abs(R.roots) - 1.0) <= 1e-3))
+                    single = [
+                        mean_p(T, p, roots_hint=R) if 0 < p < math.inf else mean(T, p, roots_hint=R)
+                        for p in self.LADDER
+                    ]
+                    for a, b in zip(ladder, single):
+                        assert (a.value, a.err_estimate, a.method) == (
+                            b.value, b.err_estimate, b.method
+                        ), (dist, n, index, a.p)
+        assert seen_compensated and seen_near
+
+    def test_order_and_repeats_kept(self):
+        rng = np.random.default_rng(8)
+        T, R = planted(rng, 2, inside=2, outside=2)
+        ps = [math.inf, 2.0, 0.5, 0.0, 2.0]
+        assert means(T, ps, roots_hint=R) == [mean(T, p, roots_hint=R) for p in ps]
+
+    def test_rejects_bad_p(self):
+        T = LaurentPolynomial(1, [1.0, 0.0, 1.0])
+        for bad in ([0.5, -1.0], [float("nan")]):
+            with pytest.raises(ValueError):
+                means(T, bad)
 
 
 class TestLogPlus:

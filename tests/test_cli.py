@@ -93,6 +93,78 @@ class TestMeans:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_zeros_solved_only_when_read(self, tmp_path, capsys, monkeypatch):
+        from bernstein_lab import circle_means
+
+        rng = np.random.default_rng(11)
+        T = LaurentPolynomial(3, rng.normal(size=7) + 1j * rng.normal(size=7))
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(T.to_json_dict()))
+        calls = []
+        solve = circle_means.roots
+        monkeypatch.setattr(circle_means, "roots", lambda P: calls.append(P) or solve(P))
+
+        def table(ps):
+            del calls[:]
+            assert main(["means", str(path), "--p", ps]) == 0
+            return len(calls), capsys.readouterr().out.splitlines()
+
+        assert table("2,4,inf")[0] == 0
+        assert table("0,0.5,2")[0] == 1
+        # the rows of p that read no zeros are the same whether or not they were solved
+        _, without = table("2,4,inf")
+        _, with_zeros = table("0.5,2,4,inf")
+        assert without == [with_zeros[0], *with_zeros[2:]]
+
+
+class TestBadPToken:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["means", None, "--p", "0,foo"],
+            ["verify", "--claim", "monotone-p", "--p-grid", "1,x", "--count", "2"],
+            ["extremal", "--p", "foo"],
+        ],
+    )
+    def test_exit_2_with_error_line(self, poly_file, tmp_path, capsys, argv):
+        argv = [poly_file if a is None else a for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestImportBudget:
+    def test_means_and_verify_never_load_scipy(self, poly_file, tmp_path):
+        import subprocess
+        import sys
+
+        import bernstein_lab
+
+        script = f"""
+import json, math, sys
+from bernstein_lab import cli
+assert cli.main(["means", {poly_file!r}, "--p", "0,0.5,2,inf"]) == 0
+for claim in ("thm-1-1", "monotone-p"):
+    out = {str(tmp_path)!r} + "/" + claim + ".jsonl"
+    argv = ["verify", "--claim", claim, "--n", "3", "--count", "4", "--jobs", "1", "--out", out]
+    assert cli.main(argv) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from bernstein_lab.extremal import maximize_ratio
+pooled = maximize_ratio(1, math.inf, restarts=2, budget=300, seed=5, jobs=2)
+serial = maximize_ratio(1, math.inf, restarts=2, budget=300, seed=5, jobs=1)
+print(json.dumps({{"scipy": loaded, "same": pooled.to_json_dict() == serial.to_json_dict()}}))
+"""
+        src = os.path.dirname(os.path.dirname(bernstein_lab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result == {"scipy": [], "same": True}
+
+
 class TestVerifyCommand:
     def test_pass_run_and_reproducibility(self, tmp_path, capsys):
         out1 = str(tmp_path / "a.jsonl")
