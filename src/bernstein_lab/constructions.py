@@ -30,8 +30,6 @@ __all__ = [
     "mu_moment",
 ]
 
-TWO_PI = 2.0 * np.pi
-
 
 @dataclass(frozen=True)
 class ReflectionOutput:
@@ -88,8 +86,8 @@ def reflect_outside(
     coeffs = work.top * coeffs
     v = laurent_from_algebraic(type(work.to_algebraic())(coeffs), n)
 
-    t = TWO_PI * np.arange(max(512, 8 * (2 * n + 1))) / max(512, 8 * (2 * n + 1))
-    disc = float(np.max(np.abs(np.abs(v.on_circle(t)) - np.abs(work.on_circle(t)))))
+    m = max(512, 8 * (2 * n + 1))
+    disc = float(np.max(np.abs(np.abs(v.on_grid(m)) - np.abs(work.on_grid(m)))))
     return ReflectionOutput(v=v, m=int(outside.shape[0]), modulus_discrepancy=disc)
 
 

@@ -99,6 +99,27 @@ class LaurentPolynomial:
         """Values T(e^{it}) for an array (or scalar) of angles t."""
         return self(np.exp(1j * np.asarray(t, dtype=float)))
 
+    def on_grid(self, m: int, shift: float = 0.0) -> np.ndarray:
+        """Values T(e^{i t_k}) at the m angles t_k = 2 pi (k + shift) / m, by one FFT.
+
+        With the twisted coefficients b_j = a_j e^{2 pi i j shift / m} folded
+        mod m (c_r = sum of b_j over j = r mod m), T(e^{i t_k}) = sum_r c_r
+        e^{2 pi i r k / m}: one unscaled inverse FFT of length m. The folding is
+        the aliasing of exponents on m points, so m < 2n + 1 is exact too. Each
+        value errs by about u (2 + log2 m) sum |a_j| (twist, fold, FFT), less
+        than two-sided Horner at the rounded point e^{i t_k} for the n used
+        here, and costs O(log m) per point instead of O(n).
+        """
+        if m < 1:
+            raise ValueError("a grid needs at least one point")
+        j = np.arange(-self.n, self.n + 1)
+        b = self.coeffs
+        if shift:
+            b = b * np.exp(2j * np.pi * shift * j / m)
+        folded = np.zeros(m, dtype=complex)
+        np.add.at(folded, j % m, b)
+        return np.fft.ifft(folded, norm="forward")
+
     def derivative(self) -> "LaurentPolynomial":
         """d/dz, re-housed in the class of bound n + 1.
 

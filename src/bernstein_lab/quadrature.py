@@ -21,6 +21,8 @@ import numpy as np
 __all__ = [
     "gl_rule",
     "periodic_mean_doubling",
+    "circle_grid",
+    "grid_of",
     "graded_edges",
     "integrate_edges",
     "adaptive_gl",
@@ -35,6 +37,28 @@ TWO_PI = 2.0 * np.pi
 def gl_rule(order: int):
     nodes, weights = np.polynomial.legendre.leggauss(order)
     return nodes, weights
+
+
+def circle_grid(m: int, shift: float = 0.0) -> np.ndarray:
+    """The m angles 2 pi (k + shift) / m, k = 0..m-1, as periodic_mean_doubling samples them."""
+    return TWO_PI * (np.arange(m) + shift) / m
+
+
+def grid_of(t) -> tuple[int, float] | None:
+    """(m, shift) when t is bitwise circle_grid(m, shift) for shift 0 or 1/2, else None.
+
+    Lets an integrand shared by the trapezoid sums and the Gauss-Legendre
+    panels evaluate on uniform grids by FFT (LaurentPolynomial.on_grid) and
+    anywhere else pointwise.
+    """
+    if not isinstance(t, np.ndarray) or t.ndim != 1 or t.size == 0 or t.dtype != float:
+        return None
+    m = t.shape[0]
+    for shift in (0.0, 0.5):
+        # the first angle rules out other arrays before any O(m) work
+        if t[0] == TWO_PI * shift / m and np.array_equal(t, circle_grid(m, shift)):
+            return m, shift
+    return None
 
 
 def periodic_mean_doubling(
@@ -54,6 +78,10 @@ def periodic_mean_doubling(
     may legitimately sit near zero). Returns (raw_mean, transformed, err, nodes)
     where err is the last refinement delta on the transformed value.
 
+    f is always called with one whole grid, circle_grid(m, s): s = 0 for the
+    first m = start_nodes angles, then s = 1/2 for the m midpoints of each
+    doubling. grid_of(t) recovers (m, s) from it.
+
     With ``integrands``, a list of k callables, one pass computes k means on
     the same nodes: f(t) evaluates what they share once per batch of nodes,
     integrands[i](f(t)) gives the values of integrand i, and ``transform`` is
@@ -67,14 +95,14 @@ def periodic_mean_doubling(
         integrands, transform = [lambda v: v], [transform]
     transforms = [(lambda x: x) if tr is None else tr for tr in transform]
     n = max(int(start_nodes), 8)
-    shared = f(TWO_PI * np.arange(n) / n)
+    shared = f(circle_grid(n))
     totals = [float(np.sum(g(shared))) for g in integrands]
     raw = [total / n for total in totals]
     prev = [tr(x) for tr, x in zip(transforms, raw)]
     err = [np.inf] * len(integrands)
     active = list(range(len(integrands)))
     while active and n < max_nodes:
-        shared = f(TWO_PI * (np.arange(n) + 0.5) / n)
+        shared = f(circle_grid(n, 0.5))
         n *= 2
         still = []
         for i in active:

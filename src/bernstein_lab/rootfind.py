@@ -2,10 +2,12 @@
 
 The zeros come from the eigenvalues of the companion matrix (numpy.roots,
 LAPACK), which are backward stable (Edelman and Murakami, Math. Comp. 64,
-1995), polished by per-root Newton steps that are kept only where they
-lower |P|. Multiple roots are returned as nearby simple roots; every
-downstream formula is continuous in the roots, so clusters are harmless at
-our tolerances.
+1995), polished by per-root Newton steps. Each pass evaluates P, P' and
+Higham's running rounding bound mu of P in one Horner sweep; a root stops
+once |P| is within 4 u mu, the rounding level, or once a step fails to lower
+|P|, and the residual check reads that last pass. Multiple roots are
+returned as nearby simple roots; every downstream formula is continuous in
+the roots, so clusters are harmless at our tolerances.
 
 Every root set is judged against the stored double-precision coefficients by
 its Weierstrass residual, with P(z_k) evaluated by compensated Horner where
@@ -24,11 +26,12 @@ when they miss it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericFailure
-from .polynomials import AlgebraicPolynomial, RootSet, horner, horner_compensated
+from .polynomials import AlgebraicPolynomial, RootSet, horner_compensated
 
 __all__ = [
     "roots",
@@ -52,13 +55,29 @@ MAX_RESIDUAL = 1e-10
 _COMPENSATED_ITER = 30
 _ESCALATION_DPS = 30
 _ESCALATION_MAXSTEPS = 400
+# |P(z)| within this many units of mu = sum_k |s_k| |z|^k is rounding noise
+_ROUNDING_BOUND = 4 * 2.0**-53
+# checked_roots remembers this many (coefficients, hint) outcomes
+_HINT_MEMO = 64
 
 
-def _horner_pair(c: np.ndarray, z: np.ndarray):
-    """Value and derivative of sum c_j z^j at the points z, as two stacked rows."""
-    dc = np.zeros_like(c)
-    dc[:-1] = np.arange(1, c.shape[0]) * c[1:]
-    return horner(np.vstack([c, dc]), z)
+def _horner_bound(c: np.ndarray, z: np.ndarray):
+    """P(z), P'(z) and the running rounding bound mu of P(z), in one Horner pass.
+
+    Horner with a running error bound (Higham, Accuracy and Stability of
+    Numerical Algorithms, 5.1): step s_k = s_{k+1} z + c_k errs by at most
+    2 sqrt(2) u |s_{k+1} z| + u |s_k|, so P(z) by (2 sqrt(2) + 1) u mu with
+    mu = sum_k |s_k| |z|^k; _ROUNDING_BOUND * mu covers it.
+    """
+    p = np.full_like(z, c[-1])
+    dp = np.zeros_like(z)
+    mu = np.abs(p)
+    r = np.abs(z)
+    for k in range(c.shape[0] - 2, -1, -1):
+        dp = dp * z + p
+        p = p * z + c[k]
+        mu = mu * r + np.abs(p)
+    return p, dp, mu
 
 
 def _residual_from_values(c: np.ndarray, z: np.ndarray, abs_p: np.ndarray) -> float:
@@ -69,9 +88,12 @@ def _residual_from_values(c: np.ndarray, z: np.ndarray, abs_p: np.ndarray) -> fl
     return float(np.exp(np.max(logres)))
 
 
-def _residual_within(c: np.ndarray, z: np.ndarray, limit: float) -> tuple[bool, float]:
+def _residual_within(
+    c: np.ndarray, z: np.ndarray, limit: float, values=None
+) -> tuple[bool, float]:
     """Whether the Weierstrass residual of z against c is at most ``limit``, and its value.
 
+    ``values``, the (|P(z)|, mu) of a _horner_bound pass at z, saves that pass.
     The plain-Horner residual plus its running rounding bound settles the
     comparison whenever that upper bound is within the limit; otherwise
     P(z_k) is evaluated again by compensated Horner, which resolves it down
@@ -79,36 +101,41 @@ def _residual_within(c: np.ndarray, z: np.ndarray, limit: float) -> tuple[bool, 
     """
     if z.shape[0] == 0:
         return True, 0.0
-    # Horner with a running error bound (Higham, Accuracy and Stability of
-    # Numerical Algorithms, 5.1): step s_k = s_{k+1} z + c_k errs by at most
-    # 2 sqrt(2) u |s_{k+1} z| + u |s_k|, so P(z) by (2 sqrt(2) + 1) u mu with
-    # mu = sum_k |s_k| |z|^k.
-    p = np.full_like(z, c[-1])
-    mu = np.abs(p)
-    r = np.abs(z)
-    for k in range(c.shape[0] - 2, -1, -1):
-        p *= z
-        p += c[k]
-        mu *= r
-        mu += np.abs(p)
-    upper = _residual_from_values(c, z, np.abs(p) + 4 * 2.0**-53 * mu)
+    if values is None:
+        p, _, mu = _horner_bound(c, z)
+        values = np.abs(p), mu
+    abs_p, mu = values
+    upper = _residual_from_values(c, z, abs_p + _ROUNDING_BOUND * mu)
     if upper <= limit:
         return True, upper
     res = _residual_from_values(c, z, np.abs(horner_compensated(c, z)))
     return res <= limit, res
 
 
-def _newton_polish(c: np.ndarray, z: np.ndarray, iters: int = 8) -> np.ndarray:
-    """Per-root Newton steps, keeping each update only if |P| decreased."""
-    best = cur = z
-    best_abs = np.full(z.shape, np.inf)
-    for _ in range(iters + 1):
-        pv, dpv = _horner_pair(c, cur)
-        improved = np.abs(pv) < best_abs
-        best = np.where(improved, cur, best)
-        best_abs = np.where(improved, np.abs(pv), best_abs)
-        cur = cur - pv / np.where(np.abs(dpv) < 1e-300, 1e-300 + 0j, dpv)
-    return best
+def _newton_polish(c: np.ndarray, z: np.ndarray, iters: int = 8):
+    """Per-root Newton steps until |P| reaches rounding level; returns (z, (|P(z)|, mu)).
+
+    A root stops once |P(z_k)| is within its running rounding bound
+    _ROUNDING_BOUND * mu_k, below which a step only follows rounding noise,
+    or once a step fails to lower |P(z_k)|; that step is not kept. At most
+    ``iters`` steps. Every pass is one _horner_bound call over all roots, and
+    the last one's values are returned for the residual check.
+    """
+    p, dp, mu = _horner_bound(c, z)
+    active = np.abs(p) > _ROUNDING_BOUND * mu
+    for _ in range(iters):
+        if not np.any(active):
+            break
+        step = p / np.where(np.abs(dp) < 1e-300, 1e-300 + 0j, dp)
+        cand = np.where(active, z - step, z)
+        pc, dpc, muc = _horner_bound(c, cand)
+        better = active & (np.abs(pc) < np.abs(p))
+        z = np.where(better, cand, z)
+        p = np.where(better, pc, p)
+        dp = np.where(better, dpc, dp)
+        mu = np.where(better, muc, mu)
+        active = better & (np.abs(p) > _ROUNDING_BOUND * mu)
+    return z, (np.abs(p), mu)
 
 
 def _aberth_step(z: np.ndarray, p: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -130,7 +157,7 @@ def _refined(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     plateaus: a few dozen milliseconds for 32 unimodular factors.
     """
     for _ in range(_COMPENSATED_ITER):
-        _, dp = _horner_pair(c, z)
+        _, dp, _ = _horner_bound(c, z)
         step = _aberth_step(z, horner_compensated(c, z), dp)
         z = z - step
         if np.all(np.abs(step) <= 1e-15 * np.maximum(np.abs(z), 1.0)):
@@ -183,10 +210,11 @@ def roots(P: AlgebraicPolynomial) -> RootSet:
     High-order zero coefficients are stripped first (counted in
     degree_deficit); low-order zero coefficients become exact roots at the
     origin. The rest are companion-matrix eigenvalues polished by Newton
-    steps. When they have a Weierstrass residual above MAX_RESIDUAL against
-    the stored coefficients, the same coefficients are solved again in
-    extended precision: Aberth steps on compensated-Horner values, then, if
-    those still miss, mpmath.polyroots. NumericFailure is raised when the
+    steps down to the rounding level (see _newton_polish). When they have a
+    Weierstrass residual above MAX_RESIDUAL against the stored coefficients,
+    the same coefficients are solved again in extended precision: Aberth
+    steps on compensated-Horner values, then, if those still miss,
+    mpmath.polyroots. NumericFailure is raised when the
     eigenvalue solve fails, or when the mpmath solve does not converge or its
     roots, rounded to double, still miss MAX_RESIDUAL.
     """
@@ -202,12 +230,12 @@ def roots(P: AlgebraicPolynomial) -> RootSet:
     if c.shape[0] > 1:
         scaled = _scaled(c)
         try:
-            found = _newton_polish(scaled, np.roots(scaled[::-1]))
+            found, values = _newton_polish(scaled, np.roots(scaled[::-1]))
         except np.linalg.LinAlgError as exc:
             raise NumericFailure(
                 f"companion eigenvalues failed at degree {c.shape[0] - 1}"
             ) from exc
-        if not _residual_within(scaled, found, MAX_RESIDUAL)[0]:
+        if not _residual_within(scaled, found, MAX_RESIDUAL, values)[0]:
             found = _escalated(scaled, found)
     all_roots = np.concatenate([np.zeros(origin_mult, dtype=complex), found])
     return RootSet(leading=leading, roots=all_roots, degree_deficit=deficit)
@@ -221,23 +249,43 @@ def checked_roots(P: AlgebraicPolynomial, hint: RootSet | None = None) -> RootSe
     a solve meets. Otherwise its roots are refined by the extended-precision
     Aberth steps roots() escalates to, and the refined set is used if it
     meets the rule. roots() is called only when there is no hint or the hint
-    is rejected.
+    is rejected. The outcome for the last _HINT_MEMO (coefficients, hint)
+    pairs is remembered, so a hint passed again with the same polynomial, as
+    the checks of one sample do once per p, is judged and refined only once.
     """
     if hint is not None and not P.is_zero():
-        work, deficit = P.normalized()
-        c = work.coeffs
-        if (
-            deficit == hint.degree_deficit
-            and len(hint) == c.shape[0] - 1
-            and abs(hint.leading - c[-1]) <= 1e-14 * abs(c[-1])
-        ):
-            scaled = _scaled(c)
-            if _residual_within(scaled, hint.roots, MAX_RESIDUAL)[0]:
+        z = _hint_zeros(
+            P.coeffs.tobytes(), hint.roots.tobytes(), hint.leading, hint.degree_deficit
+        )
+        if z is not None:
+            if np.array_equal(z, hint.roots):
                 return hint
-            z = _refined(scaled, hint.roots)
-            if _residual_within(scaled, z, MAX_RESIDUAL)[0]:
-                return RootSet(leading=hint.leading, roots=z, degree_deficit=deficit)
+            return RootSet(leading=hint.leading, roots=z, degree_deficit=hint.degree_deficit)
     return roots(P)
+
+
+@lru_cache(maxsize=_HINT_MEMO)
+def _hint_zeros(coeffs: bytes, hint_roots: bytes, leading: complex, deficit: int):
+    """The zeros a hint stands for: its own roots, the refined roots, or None if rejected.
+
+    A pure function of its key (the stored coefficient bytes, the hint's root
+    bytes, leading coefficient and deficit), so remembering it changes no
+    result.
+    """
+    work, stripped = AlgebraicPolynomial(np.frombuffer(coeffs, dtype=complex)).normalized()
+    c = work.coeffs
+    z = np.frombuffer(hint_roots, dtype=complex)
+    if (
+        deficit != stripped
+        or z.shape[0] != c.shape[0] - 1
+        or abs(leading - c[-1]) > 1e-14 * abs(c[-1])
+    ):
+        return None
+    scaled = _scaled(c)
+    if _residual_within(scaled, z, MAX_RESIDUAL)[0]:
+        return z
+    z = _refined(scaled, z)
+    return z if _residual_within(scaled, z, MAX_RESIDUAL)[0] else None
 
 
 @dataclass(frozen=True, eq=False)

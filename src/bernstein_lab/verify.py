@@ -370,22 +370,21 @@ def check_lemma_2_2(
         return _skip_report(
             "lemma-2-2", tol, _witness(T), "precondition failed: zeros of the dominating polynomial outside the closed disk"
         )
-    t = 2.0 * np.pi * np.arange(points) / points
-    abs_t = np.abs(T.on_circle(t))
-    abs_v = np.abs(V.on_circle(t))
+    abs_t = np.abs(T.on_grid(points))
+    abs_v = np.abs(V.on_grid(points))
     if np.any(abs_t > abs_v * (1.0 + tol) + tol * max(np.max(abs_v), 1.0)):
         return _skip_report(
             "lemma-2-2", tol, _witness(T), "precondition failed: |T| exceeds |V| on the circle"
         )
-    abs_dt = np.abs(T.derivative().on_circle(t))
-    abs_dv = np.abs(V.derivative().on_circle(t))
+    abs_dt = np.abs(T.derivative().on_grid(points))
+    abs_dv = np.abs(V.derivative().on_grid(points))
     k = int(np.argmin(abs_dv - abs_dt))
     return _ineq_report(
         "lemma-2-2",
         float(abs_dt[k]),
         float(abs_dv[k]),
         tol,
-        _witness(T, worst_angle=float(t[k])),
+        _witness(T, worst_angle=2.0 * np.pi * k / points),
     )
 
 

@@ -81,6 +81,79 @@ class TestHorner:
                 assert value == f(z)[k]
 
 
+class TestOnGrid:
+    """T on the grid 2 pi (k + s) / m by one FFT, against Horner and mpmath."""
+
+    @staticmethod
+    def corpus():
+        from bernstein_lab.verify import DISTRIBUTIONS, SampleSpec, sample_polynomial
+
+        for dist in DISTRIBUTIONS:
+            for n in (0, 1, 4, 16):
+                yield sample_polynomial(SampleSpec(n, dist, 31, 1), 0)
+
+    @staticmethod
+    def grid_sizes(n):
+        # below, at and above 2n + 1 (the number of exponents)
+        return sorted({max(1, 2 * n - 3), 2 * n + 1, 2 * n + 8, 64})
+
+    def test_matches_horner(self):
+        from bernstein_lab.quadrature import circle_grid
+
+        for T in self.corpus():
+            size = np.sum(np.abs(T.coeffs))
+            for m in self.grid_sizes(T.n):
+                for s in (0.0, 0.5):
+                    fft = T.on_grid(m, s)
+                    assert fft.shape == (m,)
+                    horner = T.on_circle(circle_grid(m, s))
+                    assert np.max(np.abs(fft - horner), initial=0.0) <= 1e-13 * size
+
+    def test_matches_mpmath_at_exact_angles(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for T in self.corpus():
+                size = np.sum(np.abs(T.coeffs))
+                coeffs = [mpmath.mpc(c.real, c.imag) for c in T.coeffs]
+                for m in self.grid_sizes(T.n):
+                    # the error model of on_grid: u (2 + log2(m)) sum |a_j|
+                    bound = 2.0**-53 * (2.0 + np.log2(m)) * size
+                    for s in (0.0, 0.5):
+                        fft = T.on_grid(m, s)
+                        for k in range(m):
+                            w = mpmath.expjpi(2 * (k + mpmath.mpf(s)) / m)
+                            exact = mpmath.polyval(coeffs[::-1], w) / w**T.n
+                            assert abs(complex(exact) - fft[k]) <= bound
+
+    def test_zero_polynomial(self):
+        for n in (0, 3):
+            for m in (1, 5, 16):
+                assert np.array_equal(LaurentPolynomial.zero(n).on_grid(m, 0.5), np.zeros(m))
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError):
+            LaurentPolynomial(1, [1, 2, 3]).on_grid(0)
+
+    def test_only_doubling_grids_take_the_fft(self):
+        from bernstein_lab.circle_means import _abs_on_circle
+        from bernstein_lab.quadrature import circle_grid, grid_of
+
+        rng = np.random.default_rng(12)
+        T = random_laurent(rng, 6)
+        for m in (8, 64, 96):
+            for s in (0.0, 0.5):
+                assert grid_of(circle_grid(m, s)) == (m, s)
+        near = circle_grid(64, 0.5)
+        near[17] = np.nextafter(near[17], 10.0)
+        nodes = rng.uniform(0, 2 * np.pi, 50)
+        for t in (near, nodes, circle_grid(64, 0.25), circle_grid(64)[::-1]):
+            assert grid_of(t) is None
+            # a non-grid angle array is evaluated by Horner, bitwise as before
+            assert np.array_equal(_abs_on_circle(T, 1e-10)(t)(1.0), np.abs(T(np.exp(1j * t))))
+        t = circle_grid(64, 0.5)
+        assert np.array_equal(_abs_on_circle(T, 1e-10)(t)(1.0), np.abs(T.on_grid(64, 0.5)))
+
+
 class TestDerivative:
     def test_z_plus_inverse(self):
         T = LaurentPolynomial(1, [1, 0, 1])

@@ -118,3 +118,96 @@ class TestClassify:
         R = roots(AlgebraicPolynomial([1, 0, 1]))
         with pytest.raises(ValueError):
             classify(R, 0.7)
+
+
+def corpus():
+    """(distribution, z^n T) and (distribution, z^{n+1} T') for samples of every distribution."""
+    from bernstein_lab.verify import DISTRIBUTIONS, SampleSpec, sample_polynomial
+
+    for dist in DISTRIBUTIONS:
+        for n in (2, 4, 8):
+            for index in range(2):
+                T = sample_polynomial(SampleSpec(n, dist, 4242, 2), index)
+                for P in (T.to_algebraic(), T.derivative().to_algebraic()):
+                    yield dist, P
+
+
+class TestNewtonPolish:
+    """Newton polish stops at the rounding level; every solve still meets the rule."""
+
+    def test_every_solve_meets_the_residual_rule(self):
+        mpmath = pytest.importorskip("mpmath")
+        from bernstein_lab.rootfind import MAX_RESIDUAL
+
+        with mpmath.workdps(40):
+            for _, P in corpus():
+                R = roots(P)
+                c = P.normalized()[0].coeffs
+                coeffs = [mpmath.mpc(x.real, x.imag) for x in c[::-1]]
+                z = R.roots
+                for k, zk in enumerate(z):
+                    value = abs(mpmath.polyval(coeffs, mpmath.mpc(zk.real, zk.imag)))
+                    others = np.abs(np.delete(z, k) - zk)
+                    residual = float(value) / (abs(c[-1]) * np.prod(others))
+                    assert residual <= MAX_RESIDUAL
+
+    def test_well_conditioned_solve_takes_at_most_three_passes(self, monkeypatch):
+        from bernstein_lab import rootfind
+
+        passes = []
+        kernel = rootfind._horner_bound
+
+        def counting(c, z):
+            passes.append(z.shape[0])
+            return kernel(c, z)
+
+        monkeypatch.setattr(rootfind, "_horner_bound", counting)
+        zs = np.array([0.5, 0.8, 1.2, 1.5, 0.6, 0.9, 1.3, 1.7]) * np.exp(
+            2j * np.pi * np.arange(8) / 8 + 0.3j
+        )
+        R = roots(from_roots(1.5 - 0.5j, zs))
+        assert match_distance(R.roots, zs) < 1e-12
+        assert 1 <= len(passes) <= 3
+
+    def test_mahler_measure_matches_mpmath_polyroots(self):
+        mpmath = pytest.importorskip("mpmath")
+        from bernstein_lab.circle_means import mahler_from_roots
+
+        with mpmath.workdps(40):
+            for dist, P in corpus():
+                # Products of unimodular factors have zeros in near-multiple
+                # clusters on the circle, which double precision pins only to
+                # the residual rule: M_0 may move by a few MAX_RESIDUAL there.
+                rel = 1e-10 if dist == "roots-on-circle" else 1e-12
+                c = P.normalized()[0].coeffs
+                exact = mpmath.polyroots(
+                    [mpmath.mpc(x.real, x.imag) for x in c[::-1]], maxsteps=200, extraprec=80
+                )
+                m0 = abs(mpmath.mpc(c[-1])) * mpmath.fprod(max(1, abs(r)) for r in exact)
+                assert mahler_from_roots(roots(P)).value == pytest.approx(float(m0), rel=rel)
+
+
+class TestHintMemo:
+    def test_second_call_with_the_same_hint_does_not_refine(self, monkeypatch):
+        from bernstein_lab import rootfind
+        from bernstein_lab.rootfind import checked_roots
+        from bernstein_lab.verify import SampleSpec, sample_with_roots
+
+        refined = []
+        refine = rootfind._refined
+
+        def counting(c, z):
+            refined.append(z.shape[0])
+            return refine(c, z)
+
+        monkeypatch.setattr(rootfind, "_refined", counting)
+        rootfind._hint_zeros.cache_clear()
+        # 32 unimodular factors: the planted zeros miss the rule and are refined
+        T, planted = sample_with_roots(SampleSpec(16, "roots-on-circle", 20260410, 4), 3)
+        first = checked_roots(T.to_algebraic(), planted)
+        assert len(refined) == 1 and first is not planted
+        second = checked_roots(T.to_algebraic(), planted)
+        assert len(refined) == 1
+        assert np.array_equal(second.roots, first.roots)
+        assert second.leading == first.leading
+        assert second.degree_deficit == first.degree_deficit
