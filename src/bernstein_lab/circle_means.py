@@ -73,7 +73,10 @@ class MeanResult:
     p: float  # 0.0 for the geometric mean, math.inf for the sup norm
     value: float
     err_estimate: float
-    method: str  # jensen-product | trapezoid | adaptive-singular | sampled-max
+    # the route taken: jensen-product (product formula over the zeros),
+    # trapezoid (node doubling), adaptive-singular (panels graded into zeros
+    # near the circle) or sampled-max (Newton-polished sup)
+    method: str
 
 
 def _reject_zero(T: LaurentPolynomial):
@@ -89,9 +92,9 @@ def mahler_from_roots(R: RootSet) -> MeanResult:
     return MeanResult(p=0.0, value=value, err_estimate=err, method="jensen-product")
 
 
-def _near_circle_angles(R: RootSet, threshold: float = NEAR_CIRCLE_THRESHOLD) -> np.ndarray:
+def _near_circle_angles(R: RootSet) -> np.ndarray:
     mods = np.abs(R.roots)
-    near = np.abs(mods - 1.0) <= threshold
+    near = np.abs(mods - 1.0) <= NEAR_CIRCLE_THRESHOLD
     return np.sort(np.angle(R.roots[near])) % TWO_PI
 
 
@@ -151,46 +154,88 @@ def _abs_on_circle(T: LaurentPolynomial, rel_tol: float):
     return at
 
 
-def mean_0_quadrature(
-    T: LaurentPolynomial, R: RootSet, grid: QuadratureConfig = DEFAULT_GRID
-) -> MeanResult:
-    """Geometric mean by integrating log|T| on the circle.
+def _smooth_at_zeros(p: float) -> bool:
+    """Whether |T|^p stays smooth at a zero of T: exactly for even integers p > 0."""
+    return p > 0 and p == int(p) and int(p) % 2 == 0
 
-    ``R`` must hold zeros of the stored z^n T (see rootfind.checked_roots).
-    The circle is split at the angles of roots within NEAR_CIRCLE_THRESHOLD
-    of it and Gauss-Legendre panels grade geometrically into those angles;
-    the log singularities are integrable, so nothing is excluded. Panels are
-    bisected until the order-halved error estimate meets grid.rel_tol on the
-    mean of log|T|, and the estimate reached is reported. With no nearby
-    roots the integrand is analytic and trapezoid doubling is used instead.
-    Nodes where double-precision Horner cannot resolve |T| to grid.rel_tol
-    are evaluated by compensated Horner.
+
+def _quadrature_means(
+    T: LaurentPolynomial, ps, R: RootSet | None, grid: QuadratureConfig
+) -> list[MeanResult]:
+    """M_p of T for each p of ``ps`` (0 <= p < inf) by quadrature on the circle.
+
+    The integrand is log|T| at p = 0 and |T|^p otherwise, scaled by the
+    largest coefficient. When z^n T has zeros within NEAR_CIRCLE_THRESHOLD of
+    the circle (``R``, read only then), p = 0 and every p that is not an
+    even integer, whose integrands are not smooth there, take Gauss-Legendre
+    panels graded into their angles, one pass per p, bisected until the
+    order-halved estimate meets grid.rel_tol on the mean of the integrand
+    (absolute at p = 0, relative for p > 0). Every other p shares one
+    trapezoid doubling pass that evaluates |T| once per node; each stops once
+    its M_p moves by less than grid.rel_tol relative, which at p = 0 is to
+    first order an absolute test on the mean of log|T|. |T| comes from
+    _abs_on_circle.
     """
     _reject_zero(T)
     scale = float(np.max(np.abs(T.coeffs)))
     at = _abs_on_circle(T, grid.rel_tol)
-
-    def f(t):
-        return np.log(np.maximum(at(t)(0.0) / scale, 1e-300))
-
-    angles = _near_circle_angles(R)
-    if angles.size == 0:
-        _, mean_log, err_log, _ = quad.periodic_mean_doubling(
-            f, grid.start_nodes, grid.max_nodes, grid.rel_tol, absolute=True
+    integrands, transforms = [], []
+    for p in ps:
+        if p == 0:
+            integrands.append(lambda abs_for: np.log(np.maximum(abs_for(0.0) / scale, 1e-300)))
+            transforms.append(lambda raw: scale * math.exp(raw))
+        else:
+            integrands.append(lambda abs_for, p=p, scale_p=scale**p: abs_for(p) ** p / scale_p)
+            transforms.append(lambda raw, p=p: scale * max(raw, 0.0) ** (1.0 / p))
+    graded = [i for i, p in enumerate(ps) if not _smooth_at_zeros(p)]
+    angles = _near_circle_angles(R) if graded else np.zeros(0)
+    if not angles.size:
+        graded = []
+    out = [None] * len(ps)
+    for i in graded:
+        p = ps[i]
+        raw, raw_err = quad.singular_circle_mean(
+            lambda t, g=integrands[i]: g(at(t)), angles, 2 * T.n, grid.rel_tol,
+            absolute=p == 0,
         )
-    else:
-        mean_log, err_log = quad.singular_circle_mean(f, angles, 2 * T.n, grid.rel_tol)
-    value = scale * math.exp(mean_log)
-    return MeanResult(
-        p=0.0,
-        value=value,
-        err_estimate=value * (err_log + 1e-13),
-        method="adaptive-singular",
-    )
+        value = transforms[i](raw)
+        # the estimate on the mean of the integrand, carried to M_p
+        if p == 0:
+            err = value * (raw_err + 1e-13)
+        else:
+            err = value * raw_err / (p * max(raw, 1e-300))
+        out[i] = MeanResult(p=p, value=value, err_estimate=err, method="adaptive-singular")
+    smooth = [i for i, res in enumerate(out) if res is None]
+    if smooth:
+        _, values, errs, _ = quad.periodic_mean_doubling(
+            at,
+            grid.start_nodes,
+            grid.max_nodes,
+            grid.rel_tol,
+            transform=[transforms[i] for i in smooth],
+            integrands=[integrands[i] for i in smooth],
+        )
+        for i, value, err in zip(smooth, values, errs):
+            if ps[i] == 0:
+                err += value * 1e-13
+            out[i] = MeanResult(p=ps[i], value=value, err_estimate=err, method="trapezoid")
+    return out
 
 
-def _is_even_integer(p: float) -> bool:
-    return p == int(p) and int(p) % 2 == 0
+def mean_0_quadrature(
+    T: LaurentPolynomial, R: RootSet, grid: QuadratureConfig = DEFAULT_GRID
+) -> MeanResult:
+    """Geometric mean by integrating log|T| on the circle: the cross-check of mahler_from_roots.
+
+    ``R`` must hold zeros of the stored z^n T (see rootfind.checked_roots);
+    only the angles of those near the circle are read. The route is
+    _quadrature_means's at p = 0, and ``method`` names the one taken:
+    "adaptive-singular" for panels graded into zeros within
+    NEAR_CIRCLE_THRESHOLD of the circle (the log singularities are
+    integrable, so nothing is excluded), "trapezoid" otherwise. err_estimate
+    is the estimate reached plus 1e-13 relative.
+    """
+    return _quadrature_means(T, [0.0], R, grid)[0]
 
 
 def mean_p(
@@ -199,17 +244,13 @@ def mean_p(
     grid: QuadratureConfig = DEFAULT_GRID,
     roots_hint: RootSet | None = None,
 ) -> MeanResult:
-    """M_p for finite p > 0 by quadrature of |T|^p over the circle.
+    """M_p for finite p > 0 by quadrature of |T|^p: the one-element case of ``means``.
 
-    Trapezoid doubling is the default. When T has zeros within
-    NEAR_CIRCLE_THRESHOLD of the circle and |T|^p is not smooth there (any
-    non-even p), the integral switches to panels graded into the offending
-    angles and bisected until the estimate meets grid.rel_tol relative to the
-    mean. ``roots_hint`` skips the internal root solve when the caller
-    already has the zeros of the stored z^n T (rootfind.checked_roots checks
-    a generative root set against them). |T| is evaluated as in
-    mean_0_quadrature. This is the one-element case of ``means``, which runs
-    several p through one trapezoid pass.
+    Non-even p take panels graded into zeros near the circle when there are
+    any, and trapezoid doubling otherwise (see _quadrature_means).
+    ``roots_hint`` skips the internal root solve when the caller already has
+    the zeros of the stored z^n T (rootfind.checked_roots checks a
+    generative root set against them).
     """
     if not p > 0 or math.isinf(p):
         raise ValueError("mean_p needs a finite p > 0")
@@ -275,13 +316,14 @@ def means(
     """M_p of T for each p of ``ps`` (0 <= p <= inf), in the order given.
 
     p = 0 takes the product formula over the zeros of z^n T, p = inf the sup
-    of mean_inf, and every p in between mean_p's quadrature. The p on the
-    trapezoid route share one doubling pass: |T| is evaluated once per node
-    for all of them, and each keeps its own running sum and stopping level.
-    The singular-panel route runs per p. The zeros are solved at most once,
-    and only when a p reads them: p = 0, or a finite p that is not an even
-    integer. ``roots_hint``, zeros of the stored z^n T (see
-    rootfind.checked_roots), saves that solve.
+    of mean_inf, and every p in between the circle quadrature that
+    mean_0_quadrature also runs: panels graded into zeros near the circle
+    for p that are not even integers (one pass per p), and one trapezoid
+    doubling pass shared by the rest, evaluating |T| once per node for all
+    of them while each keeps its own running sum and stopping level. The
+    zeros are solved at most once, and only when a p reads them: p = 0, or
+    a finite p that is not an even integer. ``roots_hint``, zeros of the
+    stored z^n T (see rootfind.checked_roots), saves that solve.
     """
     ps = list(ps)
     finite = [i for i, p in enumerate(ps) if p != 0 and not math.isinf(p)]
@@ -289,7 +331,7 @@ def means(
         _reject_zero(T)
         if not all(ps[i] > 0 for i in finite):
             raise ValueError("mean_p needs a finite p > 0")
-    odd = [i for i in finite if not _is_even_integer(ps[i])]
+    odd = [i for i in finite if not _smooth_at_zeros(ps[i])]
     R = roots_hint
     if R is None and (odd or 0 in ps):
         R = roots(T.to_algebraic())
@@ -299,39 +341,9 @@ def means(
             out[i] = mahler_from_roots(R)
         elif math.isinf(p):
             out[i] = mean_inf(T)
-    if not finite:
-        return out
-    scale = float(np.max(np.abs(T.coeffs)))
-    at = _abs_on_circle(T, grid.rel_tol)
-    # |T|^p is smooth at a zero on the circle only for even p
-    angles = _near_circle_angles(R) if odd else np.zeros(0)
-    singular = odd if angles.size else []
-    for i in singular:
-        p = ps[i]
-
-        def f(t, p=p, scale_p=scale**p):
-            return at(t)(p) ** p / scale_p
-
-        raw, raw_err = quad.singular_circle_mean(
-            f, angles, 2 * T.n, grid.rel_tol, absolute=False
-        )
-        value = scale * raw ** (1.0 / p)
-        err = value * raw_err / (p * max(raw, 1e-300))
-        out[i] = MeanResult(p=p, value=value, err_estimate=err, method="adaptive-singular")
-    smooth = [i for i in finite if i not in singular]
-    if smooth:
-        qs = [ps[i] for i in smooth]
-        _, values, errs, _ = quad.periodic_mean_doubling(
-            at,
-            grid.start_nodes,
-            grid.max_nodes,
-            grid.rel_tol,
-            transform=[lambda raw, q=q: scale * max(raw, 0.0) ** (1.0 / q) for q in qs],
-            integrands=[lambda abs_for, q=q, scale_q=scale**q: abs_for(q) ** q / scale_q
-                        for q in qs],
-        )
-        for i, value, err in zip(smooth, values, errs):
-            out[i] = MeanResult(p=ps[i], value=value, err_estimate=err, method="trapezoid")
+    if finite:
+        for i, res in zip(finite, _quadrature_means(T, [ps[i] for i in finite], R, grid)):
+            out[i] = res
     return out
 
 
@@ -361,8 +373,9 @@ def logplus_integral(T: LaurentPolynomial, grid: QuadratureConfig = DEFAULT_GRID
         return 0.0
     flips = np.nonzero(pos != np.roll(pos, -1))[0]
     if flips.size == 0:
-        _, mean_val, _, _ = quad.periodic_mean_doubling(
-            hplus, grid.start_nodes, grid.max_nodes, grid.rel_tol, absolute=True
+        # |T| > 1 throughout: converge on exp of the mean, as M_0 does
+        mean_val, _, _, _ = quad.periodic_mean_doubling(
+            hplus, grid.start_nodes, grid.max_nodes, grid.rel_tol, transform=math.exp
         )
         return float(mean_val)
     lo = t[flips]

@@ -6,8 +6,8 @@ inside the disk while preserving |T| pointwise on the circle. The reflected
 polynomial V therefore dominates T on the circle (with equality) and has all
 zeros of z^n V in the closed disk, which is exactly the setup the derivative
 comparison needs. Two scalar identity evaluators live here as well: the
-circle average of log|v + w| (a smoothed log^+) and the moment integral that
-rebuilds u^p from log^+ layers.
+circle average of log|v + w| (a smoothed log^+, taken as log M_0(v + z)) and
+the moment integral that rebuilds u^p from log^+ layers.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as quad
+from .circle_means import QuadratureConfig, mean_0_quadrature
 from .errors import RootCountError
 from .polynomials import LaurentPolynomial, RootSet, from_roots, laurent_from_algebraic
 from .rootfind import DEFAULT_CIRCLE_EPS, classify, roots
@@ -101,24 +102,18 @@ def perturb_by_en(T: LaurentPolynomial, w: complex) -> LaurentPolynomial:
 def smoothed_logplus(v: complex, nodes: int = 64) -> float:
     """Circle average (1/2pi) int log|v + e^{is}| ds, which equals log^+|v|.
 
-    For |v| within 1e-3 of 1 the integrand has a (near-)singular angle at
-    arg(-v); panels graded into that angle keep full accuracy there.
+    By Jensen's formula this is log M_0(v + z), and it is computed as such:
+    mean_0_quadrature on the Laurent polynomial v + z, whose z (v + z) has
+    the zeros {0, -v}, starting the trapezoid at ``nodes`` (at least 16)
+    with rel_tol 1e-12. For |v| within NEAR_CIRCLE_THRESHOLD of 1 the
+    integrand has a (near-)singular angle at arg(-v), and panels graded
+    into it keep full accuracy there.
     """
-    if nodes < 16:
-        raise ValueError("need at least 16 nodes")
     v = complex(v)
-
-    def f(s):
-        return np.log(np.maximum(np.abs(v + np.exp(1j * s)), 1e-300))
-
-    if abs(abs(v) - 1.0) > 1e-3:
-        _, mean_val, _, _ = quad.periodic_mean_doubling(
-            f, nodes, 1 << 20, 1e-12, absolute=True
-        )
-        return float(mean_val)
-    pinch = math.pi if v == 0 else float(np.angle(-v))
-    mean_val, _ = quad.singular_circle_mean(f, np.array([pinch]), 4, 1e-12)
-    return float(mean_val)
+    T = LaurentPolynomial(1, [0.0, v, 1.0])
+    R = RootSet(leading=1.0, roots=[0.0, -v])
+    grid = QuadratureConfig(start_nodes=nodes, rel_tol=1e-12)
+    return math.log(mean_0_quadrature(T, R, grid).value)
 
 
 def mu_moment(u: float, p: float) -> float:

@@ -32,6 +32,25 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
+# graded_edges: each subpanel toward a singular end is this fraction of the
+# one before, down to a relative width of _GRADING_FLOOR.
+_GRADING_RATIO = 0.3
+_GRADING_FLOOR = 1e-15
+# Gauss-Legendre orders of the singular panels (checked against half this
+# order) and of adaptive_gl, whose bisection stops at _MAX_DEPTH.
+_PANEL_ORDER = 16
+_ADAPTIVE_ORDER = 12
+_MAX_DEPTH = 48
+# Refinement limits of singular_circle_mean. Panels below this width are the
+# innermost slivers at a singular angle: there the order-halved estimate
+# stays a fixed fraction of the panel's integral however far it is split,
+# while that integral is itself below about 1e-10. The panel cap bounds the
+# integrand values at about 4 * 10^5.
+_MIN_PANEL_WIDTH = 1e-12
+_MAX_PANELS = 1 << 14
+# bisect_roots halvings: 50 take a panel of width up to 2 pi below 1e-14.
+_BISECT_STEPS = 50
+
 
 @lru_cache(maxsize=None)
 def gl_rule(order: int):
@@ -67,16 +86,16 @@ def periodic_mean_doubling(
     max_nodes: int,
     rel_tol: float,
     transform=None,
-    absolute: bool = False,
     integrands=None,
 ):
     """Mean of f over [0, 2pi) by uniform sampling with node doubling.
 
     Doubling interleaves midpoints so earlier samples are reused. Convergence
-    is judged on transform(mean) between successive refinements: relative by
-    default, absolute when ``absolute`` (for log-scale integrands whose mean
-    may legitimately sit near zero). Returns (raw_mean, transformed, err, nodes)
-    where err is the last refinement delta on the transformed value.
+    is judged on transform(mean) between successive refinements, relative to
+    it. A log-scale integrand, whose mean may sit at zero, converges on
+    transform=exp: to first order that is an absolute test on its mean.
+    Returns (raw_mean, transformed, err, nodes) where err is the last
+    refinement delta on the transformed value.
 
     f is always called with one whole grid, circle_grid(m, s): s = 0 for the
     first m = start_nodes angles, then s = 1/2 for the m midpoints of each
@@ -111,8 +130,7 @@ def periodic_mean_doubling(
             cur = transforms[i](raw[i])
             err[i] = abs(cur - prev[i])
             prev[i] = cur
-            scale = 1.0 if absolute else max(abs(cur), 1e-300)
-            if err[i] > rel_tol * scale:
+            if err[i] > rel_tol * max(abs(cur), 1e-300):
                 still.append(i)
         active = still
     if single:
@@ -126,33 +144,31 @@ def graded_edges(
     singular_left: bool,
     singular_right: bool,
     max_width: float,
-    ratio: float = 0.3,
-    floor: float = 1e-15,
 ) -> np.ndarray:
     """Subpanel edges over [a, b], grading geometrically into singular ends.
 
-    The innermost sliver at a singular end has relative width ``floor``; with
-    an integrable endpoint singularity its Gauss-Legendre value is accurate
-    enough that nothing needs to be dropped.
+    The innermost sliver at a singular end has relative width _GRADING_FLOOR;
+    with an integrable endpoint singularity its Gauss-Legendre value is
+    accurate enough that nothing needs to be dropped.
     """
     if b <= a:
         raise ValueError("empty panel")
     if singular_left and singular_right:
         mid = 0.5 * (a + b)
-        left = graded_edges(a, mid, True, False, max_width, ratio, floor)
-        right = graded_edges(mid, b, False, True, max_width, ratio, floor)
+        left = graded_edges(a, mid, True, False, max_width)
+        right = graded_edges(mid, b, False, True, max_width)
         return np.concatenate([left, right[1:]])
     if singular_right:
-        rev = graded_edges(a, b, True, False, max_width, ratio, floor)
+        rev = graded_edges(a, b, True, False, max_width)
         return (a + b - rev)[::-1]
     if singular_left:
         h = b - a
         # keep the innermost sliver wide enough (in ulps of the endpoint
         # scale) that Gauss nodes cannot round onto the singular endpoint
         scale = max(abs(a), abs(b), 1.0)
-        floor_eff = max(floor, 256.0 * np.finfo(float).eps * scale / h)
-        levels = max(int(np.ceil(np.log(floor_eff) / np.log(ratio))), 1)
-        offsets = h * ratio ** np.arange(levels, -1, -1)
+        floor = max(_GRADING_FLOOR, 256.0 * np.finfo(float).eps * scale / h)
+        levels = max(int(np.ceil(np.log(floor) / np.log(_GRADING_RATIO))), 1)
+        offsets = h * _GRADING_RATIO ** np.arange(levels, -1, -1)
         edges = np.concatenate([[a], a + offsets])
     else:
         edges = np.array([a, b])
@@ -191,21 +207,14 @@ def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, orders) -> list[np.ndarr
     return out
 
 
-def adaptive_gl(
-    f,
-    a: float,
-    b: float,
-    abs_tol: float,
-    order: int = 12,
-    max_depth: int = 48,
-):
+def adaptive_gl(f, a: float, b: float, abs_tol: float):
     """Adaptive Gauss-Legendre bisection of f over [a, b].
 
     Returns (value, err_estimate). Panels are accepted when one rule and its
     bisected refinement agree within the panel's share of abs_tol; depth-capped
     panels are accepted as-is with their disagreement charged to the estimate.
     """
-    nodes, weights = gl_rule(order)
+    nodes, weights = gl_rule(_ADAPTIVE_ORDER)
 
     def rule(lo, hi):
         pts = lo + 0.5 * (hi - lo) * (nodes + 1.0)
@@ -220,7 +229,7 @@ def adaptive_gl(
         left = rule(lo, mid)
         right = rule(mid, hi)
         disagreement = abs(left + right - coarse)
-        if disagreement <= max(tol, 1e-16 * (abs(left) + abs(right))) or depth >= max_depth:
+        if disagreement <= max(tol, 1e-16 * (abs(left) + abs(right))) or depth >= _MAX_DEPTH:
             total += left + right
             err += disagreement
         else:
@@ -235,7 +244,6 @@ def singular_circle_mean(
     oscillation_degree: int,
     rel_tol: float = 1e-10,
     absolute: bool = True,
-    order: int = 16,
 ):
     """Mean of f over [0, 2pi) with panels graded into each angle in ``angles``.
 
@@ -265,7 +273,8 @@ def singular_circle_mean(
     ]
     edges = np.concatenate([e if i == 0 else e[1:] for i, e in enumerate(pieces)])
     lo, hi = edges[:-1], edges[1:]
-    fine, coarse = _panel_integrals(f, lo, hi, (order, order // 2))
+    orders = (_PANEL_ORDER, _PANEL_ORDER // 2)
+    fine, coarse = _panel_integrals(f, lo, hi, orders)
     while True:
         err = np.abs(fine - coarse)
         scale = 1.0 if absolute else abs(np.sum(fine)) / TWO_PI
@@ -277,7 +286,7 @@ def singular_circle_mean(
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_fine, new_coarse = _panel_integrals(f, new_lo, new_hi, (order, order // 2))
+        new_fine, new_coarse = _panel_integrals(f, new_lo, new_hi, orders)
         lo = np.concatenate([lo[~split], new_lo])
         hi = np.concatenate([hi[~split], new_hi])
         fine = np.concatenate([fine[~split], new_fine])
@@ -285,21 +294,12 @@ def singular_circle_mean(
     return float(np.sum(fine)) / TWO_PI, float(np.sum(np.abs(fine - coarse))) / TWO_PI
 
 
-# Refinement limits of singular_circle_mean. Panels below this width are the
-# innermost slivers at a singular angle: there the order-halved estimate
-# stays a fixed fraction of the panel's integral however far it is split,
-# while that integral is itself below about 1e-10. The panel cap bounds the
-# integrand values at about 4 * 10^5.
-_MIN_PANEL_WIDTH = 1e-12
-_MAX_PANELS = 1 << 14
-
-
-def bisect_roots(f, lo: np.ndarray, hi: np.ndarray, iters: int = 50) -> np.ndarray:
+def bisect_roots(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Vectorized bisection: one sign change of f assumed in each [lo, hi]."""
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
     flo = np.sign(f(lo))
-    for _ in range(iters):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         fm = np.sign(f(mid))
         same = fm == flo

@@ -70,6 +70,14 @@ DISTRIBUTIONS = (
 
 DEFAULT_P_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 16.0)
 
+# Largest relative gap allowed between the direct log^+ integrals of
+# Theorem 1.2 and their smoothing-route averages.
+FUBINI_TOL = 1e-3
+# Points of the smoothing route's w grid, and the (u, p) grid of identity 3.2.
+W_POINTS = 64
+IDENTITY_3_2_U = np.geomspace(1e-3, 1e3, 25)
+IDENTITY_3_2_P = (0.25, 0.5, 1.0, 2.0, 4.0)
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -106,6 +114,14 @@ class VerificationReport:
 
 def _scale(lhs: float, rhs: float) -> float:
     return max(abs(lhs), abs(rhs), 1.0)
+
+
+def _worst(reports) -> VerificationReport | None:
+    """The report with the least margin / _scale, the first on ties; None when empty.
+
+    Among reports judged at one tolerance it passed exactly when all did.
+    """
+    return min(reports, key=lambda r: r.margin / _scale(r.lhs, r.rhs), default=None)
 
 
 def _ineq_report(claim, lhs, rhs, tol, witness, detail="") -> VerificationReport:
@@ -277,11 +293,8 @@ def check_bernstein(
         rhs_q = n * mean_0_quadrature(T, rT, grid).value
         rep_j = _ineq_report(claim, lhs_j, rhs_j, tol, _witness(T, p=0.0), "jensen-product")
         rep_q = _ineq_report(claim, lhs_q, rhs_q, tol, _witness(T, p=0.0), "quadrature")
-        worse = min(
-            (rep_j, rep_q), key=lambda r: r.margin / _scale(r.lhs, r.rhs)
-        )
-        both = rep_j.passed and rep_q.passed
-        return replace(worse, passed=both, detail=f"worse of both routes ({worse.detail})")
+        worse = _worst((rep_j, rep_q))
+        return replace(worse, detail=f"worse of both routes ({worse.detail})")
     if not math.isinf(p):
         # without a hint mean_p solves only when p needs the zeros (non-even p)
         if droots_hint is not None:
@@ -297,18 +310,18 @@ def check_bernstein(
 def check_equality_case(
     T: LaurentPolynomial,
     tol: float = 1e-7,
-    eps: float = 1e-9,
     roots_hint: RootSet | None = None,
 ) -> VerificationReport:
     """For zeros of z^n T all in the closed disk: M_0(T) = |a_n|, M_0(T') = n|a_n|.
 
-    Inputs with zeros strictly outside the circle get a skipped report.
+    Inputs with zeros outside the circle by more than
+    rootfind.DEFAULT_CIRCLE_EPS get a skipped report.
     """
     if T.is_zero():
         raise ValueError("cannot check the zero polynomial")
     n = T.n
     R = checked_roots(T.to_algebraic(), roots_hint)
-    if not classify(R, eps).all_in_closed_disk:
+    if not classify(R).all_in_closed_disk:
         return _skip_report(
             "equality-case", tol, _witness(T), "zeros outside the closed disk"
         )
@@ -320,8 +333,7 @@ def check_equality_case(
     rep2 = _eq_report(
         "equality-case", m0d, n * a_n, tol, _witness(T), "M_0(T') vs n|a_n|"
     )
-    worse = min((rep1, rep2), key=lambda r: r.margin / _scale(r.lhs, r.rhs))
-    return replace(worse, passed=rep1.passed and rep2.passed)
+    return _worst((rep1, rep2))
 
 
 def check_lemma_2_1(
@@ -355,7 +367,6 @@ def check_lemma_2_2(
     V: LaurentPolynomial,
     points: int = 4096,
     tol: float = 1e-8,
-    eps: float = 1e-9,
 ) -> VerificationReport:
     """|T| <= |V| on the circle plus zeros of z^n V in the disk give |T'| <= |V'|.
 
@@ -366,7 +377,7 @@ def check_lemma_2_2(
     if T.is_zero() or V.is_zero():
         raise ValueError("cannot check the zero polynomial")
     rv = roots(V.to_algebraic())
-    if not classify(rv, max(eps, 1e-9)).all_in_closed_disk:
+    if not classify(rv).all_in_closed_disk:
         return _skip_report(
             "lemma-2-2", tol, _witness(T), "precondition failed: zeros of the dominating polynomial outside the closed disk"
         )
@@ -388,9 +399,9 @@ def check_lemma_2_2(
     )
 
 
-def _w_grid(count: int = 64) -> np.ndarray:
+def _w_grid() -> np.ndarray:
     # half-step offset keeps the grid off the axis where T = c z^n degenerates
-    return np.exp(2j * np.pi * (np.arange(count) + 0.5) / count)
+    return np.exp(2j * np.pi * (np.arange(W_POINTS) + 0.5) / W_POINTS)
 
 
 def _log_mahler(T: LaurentPolynomial) -> float:
@@ -402,14 +413,13 @@ def check_theorem_1_2(
     grid: QuadratureConfig = DEFAULT_GRID,
     tol: float = 1e-6,
     fubini: bool = True,
-    fubini_tol: float = 1e-3,
 ) -> VerificationReport:
     """Mean of log^+|T'/n| on the circle never exceeds the mean of log^+|T|.
 
     With ``fubini`` set, both sides are recomputed by averaging geometric
     means of top-coefficient perturbations T + w z^n over a 64-point w grid
     (each of those means taken by the root-product formula), and the averages
-    must agree with the direct integrals within fubini_tol.
+    must agree with the direct integrals within FUBINI_TOL.
     """
     if T.is_zero():
         raise ValueError("cannot check the zero polynomial")
@@ -434,7 +444,7 @@ def check_theorem_1_2(
     lhs_avg /= ws.size
     rhs_avg /= ws.size
     dev = max(abs(lhs_avg - lhs) / _scale(lhs_avg, lhs), abs(rhs_avg - rhs) / _scale(rhs_avg, rhs))
-    if dev > fubini_tol:
+    if dev > FUBINI_TOL:
         return replace(
             rep,
             passed=False,
@@ -460,19 +470,10 @@ def check_monotone_p(
     ladder = [0.0, *ps, math.inf]
     values = [res.value for res in means(T, ladder, grid, roots_hint=R)]
     labels = [f"{q:g}" for q in ladder]
-    worst = None
-    for (a, la), (b, lb) in zip(zip(values, labels), zip(values[1:], labels[1:])):
-        rep = _ineq_report(
-            "monotone-p", a, b, tol, _witness(T, step=f"p={la} vs p={lb}")
-        )
-        if worst is None or rep.margin / _scale(rep.lhs, rep.rhs) < worst.margin / _scale(
-            worst.lhs, worst.rhs
-        ):
-            worst = rep
-    all_ok = worst.passed and all(
-        b >= a - tol * _scale(a, b) for a, b in zip(values, values[1:])
+    return _worst(
+        _ineq_report("monotone-p", a, b, tol, _witness(T, step=f"p={la} vs p={lb}"))
+        for (a, la), (b, lb) in zip(zip(values, labels), zip(values[1:], labels[1:]))
     )
-    return replace(worst, passed=bool(all_ok))
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +500,8 @@ def _check_identity_3_1(spec: SampleSpec, index: int) -> VerificationReport:
     )
 
 
-def identity_3_2_grid(
-    u_points: int = 25, p_values=(0.25, 0.5, 1.0, 2.0, 4.0)
-) -> list[tuple[float, float]]:
-    us = np.geomspace(1e-3, 1e3, u_points)
-    return [(float(u), float(q)) for u in us for q in p_values]
+def identity_3_2_grid() -> list[tuple[float, float]]:
+    return [(float(u), float(q)) for u in IDENTITY_3_2_U for q in IDENTITY_3_2_P]
 
 
 def _check_identity_3_2(u: float, p: float, tol: float = 1e-8) -> VerificationReport:
@@ -526,45 +524,32 @@ def _check_identity_3_2(u: float, p: float, tol: float = 1e-8) -> VerificationRe
 
 
 def _run_one(claim: str, spec: SampleSpec, index: int, opts: dict) -> VerificationReport:
-    tol = opts.get("tol")
+    # each check keeps its own default tolerance unless the caller set one
+    tol = {} if opts.get("tol") is None else {"tol": opts["tol"]}
     grid = opts.get("grid", DEFAULT_GRID)
     if claim == "identity-3-1":
         return _check_identity_3_1(spec, index)
     if claim == "identity-3-2":
         pairs = opts.get("pairs") or identity_3_2_grid()
         u, q = pairs[index]
-        return _check_identity_3_2(u, q, tol if tol is not None else 1e-8)
+        return _check_identity_3_2(u, q, **tol)
     T, planted = sample_with_roots(spec, index)
-    if claim == "thm-1-1":
-        rep = check_bernstein(
-            T, 0.0, tol if tol is not None else 1e-8, grid, roots_hint=planted
-        )
-    elif claim == "thm-1-3":
-        p = opts.get("p", 2.0)
-        rep = check_bernstein(
-            T, p, tol if tol is not None else 1e-8, grid, roots_hint=planted
-        )
+    if claim in ("thm-1-1", "thm-1-3"):
+        p = 0.0 if claim == "thm-1-1" else opts.get("p", 2.0)
+        rep = check_bernstein(T, p, grid=grid, roots_hint=planted, **tol)
     elif claim == "thm-1-2":
-        rep = check_theorem_1_2(
-            T, grid, tol if tol is not None else 1e-6, fubini=opts.get("fubini", True)
-        )
+        rep = check_theorem_1_2(T, grid, fubini=opts.get("fubini", True), **tol)
     elif claim == "lemma-2-1":
-        rep = check_lemma_2_1(T, opts.get("eps", 1e-6), roots_hint=planted)
+        rep = check_lemma_2_1(T, roots_hint=planted)
     elif claim == "lemma-2-2":
         hint = None if planted is None else checked_roots(T.deflated().to_algebraic(), planted)
         out = reflect_outside(T, hint)
-        rep = check_lemma_2_2(
-            T, out.v, opts.get("points", 4096), tol if tol is not None else 1e-8
-        )
+        rep = check_lemma_2_2(T, out.v, opts.get("points", 4096), **tol)
     elif claim == "equality-case":
-        rep = check_equality_case(T, tol if tol is not None else 1e-7, roots_hint=planted)
+        rep = check_equality_case(T, roots_hint=planted, **tol)
     elif claim == "monotone-p":
         rep = check_monotone_p(
-            T,
-            opts.get("p_grid", DEFAULT_P_GRID),
-            tol if tol is not None else 1e-8,
-            grid,
-            roots_hint=planted,
+            T, opts.get("p_grid", DEFAULT_P_GRID), grid=grid, roots_hint=planted, **tol
         )
     else:
         raise ValueError(f"unknown claim {claim!r}")
@@ -614,12 +599,7 @@ def run_sweep(
 def summarize(reports: list[VerificationReport]) -> dict:
     """Associative roll-up: AND of passed, min margin, worst witness."""
     active = [r for r in reports if not r.skipped]
-    worst = None
-    for r in active:
-        if worst is None or r.margin / _scale(r.lhs, r.rhs) < worst.margin / _scale(
-            worst.lhs, worst.rhs
-        ):
-            worst = r
+    worst = _worst(active)
     return {
         "count": len(reports),
         "checked": len(active),

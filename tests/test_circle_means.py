@@ -114,6 +114,13 @@ class TestMean0Quadrature:
             mq = mean_0_quadrature(T, R)
             assert mq.value == pytest.approx(mj.value, rel=1e-10)
 
+    def test_method_names_the_route_taken(self):
+        # zeros 0 and 2 lie far from the circle, zero 1 lies on it
+        far = LaurentPolynomial(1, [0, -2, 1])
+        on = LaurentPolynomial(1, [0, -1, 1])
+        assert mean_0_quadrature(far, roots(far.to_algebraic())).method == "trapezoid"
+        assert mean_0_quadrature(on, roots(on.to_algebraic())).method == "adaptive-singular"
+
     def test_cross_method_consistency_within_error_estimates(self):
         rng = np.random.default_rng(23)
         T, R = planted(rng, 4, inside=4, on=4)

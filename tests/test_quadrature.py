@@ -20,6 +20,15 @@ class TestPeriodicDoubling:
         assert err >= 0.0
 
 
+    def test_log_scale_mean_converges_on_exp(self):
+        # (1/2pi) int log|e^{it} - 1/2| dt = log max(1, 1/2) = 0 (Jensen)
+        raw, val, _, _ = quad.periodic_mean_doubling(
+            lambda t: np.log(np.abs(np.exp(1j * t) - 0.5)), 16, 1 << 16, 1e-12, transform=np.exp
+        )
+        assert raw == pytest.approx(0.0, abs=1e-12)
+        assert val == pytest.approx(1.0, abs=1e-12)
+
+
 class TestGradedPanels:
     def test_log_singularity_at_endpoint(self):
         # int_0^1 log(x) dx = -1
