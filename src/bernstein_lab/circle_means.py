@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .polynomials import LaurentPolynomial, horner_compensated, horner_laurent
-from .rootfind import RootSet, roots
+from .rootfind import RootSet, checked_roots
 
 __all__ = [
     "QuadratureConfig",
@@ -248,9 +248,7 @@ def mean_p(
 
     Non-even p take panels graded into zeros near the circle when there are
     any, and trapezoid doubling otherwise (see _quadrature_means).
-    ``roots_hint`` skips the internal root solve when the caller already has
-    the zeros of the stored z^n T (rootfind.checked_roots checks a
-    generative root set against them).
+    ``roots_hint`` is taken as in ``means``.
     """
     if not p > 0 or math.isinf(p):
         raise ValueError("mean_p needs a finite p > 0")
@@ -321,9 +319,12 @@ def means(
     for p that are not even integers (one pass per p), and one trapezoid
     doubling pass shared by the rest, evaluating |T| once per node for all
     of them while each keeps its own running sum and stopping level. The
-    zeros are solved at most once, and only when a p reads them: p = 0, or
-    a finite p that is not an even integer. ``roots_hint``, zeros of the
-    stored z^n T (see rootfind.checked_roots), saves that solve.
+    zeros are found at most once, and only when a p reads them: p = 0, or
+    a finite p that is not an even integer. They are
+    rootfind.checked_roots(T.to_algebraic(), roots_hint): ``roots_hint``,
+    candidate zeros of z^n T such as a planted root set, saves the solve
+    when it factors the stored coefficients, and is refined or replaced by
+    a solve when it does not.
     """
     ps = list(ps)
     finite = [i for i, p in enumerate(ps) if p != 0 and not math.isinf(p)]
@@ -332,9 +333,7 @@ def means(
         if not all(ps[i] > 0 for i in finite):
             raise ValueError("mean_p needs a finite p > 0")
     odd = [i for i in finite if not _smooth_at_zeros(ps[i])]
-    R = roots_hint
-    if R is None and (odd or 0 in ps):
-        R = roots(T.to_algebraic())
+    R = checked_roots(T.to_algebraic(), roots_hint) if odd or 0 in ps else None
     out = [None] * len(ps)
     for i, p in enumerate(ps):
         if p == 0:

@@ -15,16 +15,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 from . import jsonio
-from .circle_means import QuadratureConfig, means
+from .circle_means import DEFAULT_GRID, QuadratureConfig, means
 from .errors import NumericFailure
-from .extremal import RATIO_CEILING, maximize_ratio
+from .extremal import DEFAULT_BUDGET, DEFAULT_RESTARTS, RATIO_CEILING, maximize_ratio
 from .polynomials import LaurentPolynomial
 from .verify import (
     CLAIMS,
     DISTRIBUTIONS,
+    SWEEP_OPTIONS,
     SampleSpec,
     run_sweep,
     summarize,
@@ -33,27 +34,8 @@ from .verify import (
 DEFAULT_SEED = 0
 SEED_ENV = "BERNSTEIN_LAB_SEED"
 
-DEFAULT_P_GRID_TOKENS = "0.01,0.1,0.5,1,2,4,16"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters of one CLI run; sufficient to reproduce it."""
-
-    command: str
-    seed: int
-    out: str | None
-    format: str
-    params: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.format,
-            "params": self.params,
-        }
+# QuadratureConfig fields set by --start-nodes, --max-nodes and --rel-tol
+GRID_FIELDS = {"start_nodes": int, "max_nodes": int, "rel_tol": float}
 
 
 def parse_p(token: str) -> float:
@@ -124,11 +106,18 @@ def _usage_error(message: str) -> int:
 
 
 def _grid_from(args, config) -> QuadratureConfig:
-    return QuadratureConfig(
-        start_nodes=int(_resolve(args, config, "start_nodes", 64)),
-        max_nodes=int(_resolve(args, config, "max_nodes", 1 << 20)),
-        rel_tol=float(_resolve(args, config, "rel_tol", 1e-10)),
-    )
+    """DEFAULT_GRID with the GRID_FIELDS that a flag or --config sets."""
+    given = {name: _resolve(args, config, name, None) for name in GRID_FIELDS}
+    return replace(DEFAULT_GRID, **{k: GRID_FIELDS[k](v) for k, v in given.items() if v is not None})
+
+
+# How a flag or --config value of each SWEEP_OPTIONS entry is read.
+_SWEEP_OPTION_PARSERS = {
+    "p": lambda v: parse_p(str(v)),
+    "p_grid": lambda v: tuple(parse_p(t) for t in str(v).split(",") if t),
+    "points": int,
+    "fubini": lambda v: bool(int(v)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +143,15 @@ def cmd_means(args) -> int:
         for p, res in zip(ps, means(T, ps, grid))
     ]
 
-    run = RunConfig(
-        command="means",
-        seed=DEFAULT_SEED,
-        out=out_path,
-        format=fmt,
-        params={"poly_file": args.poly_file, "p": tokens, "grid": grid.to_json_dict()},
-    )
+    run = {
+        "command": "means",
+        "seed": DEFAULT_SEED,
+        "out": out_path,
+        "format": fmt,
+        "params": {"poly_file": args.poly_file, "p": tokens, "grid": grid.to_json_dict()},
+    }
     if fmt == "json":
-        text = jsonio.dumps({"config": run.to_json_dict(), "rows": rows}) + "\n"
+        text = jsonio.dumps({"config": run, "rows": rows}) + "\n"
     else:
         import io
 
@@ -201,15 +190,9 @@ def cmd_verify(args) -> int:
     tol = _resolve(args, config, "tol", None)
     if tol is not None:
         opts["tol"] = float(tol)
-    if claim == "thm-1-3":
-        opts["p"] = parse_p(str(_resolve(args, config, "p", "2")))
-    if claim == "monotone-p":
-        tokens = str(_resolve(args, config, "p_grid", DEFAULT_P_GRID_TOKENS))
-        opts["p_grid"] = [parse_p(t) for t in tokens.split(",") if t]
-    if claim == "lemma-2-2":
-        opts["points"] = int(_resolve(args, config, "points", 4096))
-    if claim == "thm-1-2":
-        opts["fubini"] = bool(int(_resolve(args, config, "fubini", 1)))
+    for name, default in SWEEP_OPTIONS.get(claim, {}).items():
+        value = _resolve(args, config, name, None)
+        opts[name] = default if value is None else _SWEEP_OPTION_PARSERS[name](value)
 
     jobs = _resolve(args, config, "jobs", None)
     reports = run_sweep(claim, spec, jobs=None if jobs is None else int(jobs), **opts)
@@ -226,12 +209,12 @@ def cmd_verify(args) -> int:
         with open(worst_path, "w", encoding="utf-8") as fh:
             fh.write(jsonio.dumps(summary["worst"].witness) + "\n")
 
-    run = RunConfig(
-        command="verify",
-        seed=seed,
-        out=out_path,
-        format="jsonl",
-        params={
+    run = {
+        "command": "verify",
+        "seed": seed,
+        "out": out_path,
+        "format": "jsonl",
+        "params": {
             "claim": claim,
             "n": spec.n,
             "distribution": spec.distribution,
@@ -244,9 +227,9 @@ def cmd_verify(args) -> int:
                 if k not in ("grid", "tol")
             },
         },
-    )
+    }
     with open(out_path + ".run.json", "w", encoding="utf-8") as fh:
-        fh.write(jsonio.dumps(run.to_json_dict()) + "\n")
+        fh.write(jsonio.dumps(run) + "\n")
 
     print(
         f"claim={claim} count={summary['count']} checked={summary['checked']} "
@@ -265,8 +248,8 @@ def cmd_extremal(args) -> int:
     seed = _resolve_seed(args, config)
     p = parse_p(str(_resolve(args, config, "p", "2")))
     n = int(_resolve(args, config, "n", 2))
-    restarts = int(_resolve(args, config, "restarts", 8))
-    budget = int(_resolve(args, config, "budget", 20000))
+    restarts = int(_resolve(args, config, "restarts", DEFAULT_RESTARTS))
+    budget = int(_resolve(args, config, "budget", DEFAULT_BUDGET))
     threshold = float(_resolve(args, config, "threshold", 0.99))
     out_path = _resolve(args, config, "out", None)
     jobs = _resolve(args, config, "jobs", None)
@@ -283,20 +266,20 @@ def cmd_extremal(args) -> int:
         n, p, restarts=restarts, budget=budget, seed=seed,
         jobs=None if jobs is None else int(jobs),
     )
-    run = RunConfig(
-        command="extremal",
-        seed=seed,
-        out=out_path,
-        format="json",
-        params={
+    run = {
+        "command": "extremal",
+        "seed": seed,
+        "out": out_path,
+        "format": "json",
+        "params": {
             "n": n,
             "p": "inf" if math.isinf(p) else p,
             "restarts": restarts,
             "budget": budget,
             "threshold": threshold,
         },
-    )
-    payload = jsonio.dumps({"config": run.to_json_dict(), "trace": trace.to_json_dict()}) + "\n"
+    }
+    payload = jsonio.dumps({"config": run, "trace": trace.to_json_dict()}) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -333,13 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes (default: available parallelism)")
         sp.add_argument("--out", default=None, help="output path")
 
+    def add_grid(sp):
+        for name, kind in GRID_FIELDS.items():
+            sp.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
+
     means = sub.add_parser("means", help="tabulate M_p of a polynomial file")
     means.add_argument("poly_file", help='JSON {"n": int, "coeffs": [[re, im], ...]}')
     means.add_argument("--p", default=None, help='comma list of p tokens ("0", decimals, "inf")')
     means.add_argument("--format", choices=("csv", "json"), default=None)
-    means.add_argument("--start-nodes", dest="start_nodes", type=int, default=None)
-    means.add_argument("--max-nodes", dest="max_nodes", type=int, default=None)
-    means.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
+    add_grid(means)
     add_common(means)
     means.set_defaults(func=cmd_means)
 
@@ -354,9 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--points", type=int, default=None, help="circle grid size for lemma-2-2")
     verify.add_argument("--fubini", type=int, default=None,
                         help="1/0: cross-check thm-1-2 via the smoothing route")
-    verify.add_argument("--start-nodes", dest="start_nodes", type=int, default=None)
-    verify.add_argument("--max-nodes", dest="max_nodes", type=int, default=None)
-    verify.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
+    add_grid(verify)
     add_common(verify)
     verify.set_defaults(func=cmd_verify)
 

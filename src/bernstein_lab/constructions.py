@@ -21,7 +21,7 @@ from . import quadrature as quad
 from .circle_means import QuadratureConfig, mean_0_quadrature
 from .errors import RootCountError
 from .polynomials import LaurentPolynomial, RootSet, from_roots, laurent_from_algebraic
-from .rootfind import DEFAULT_CIRCLE_EPS, classify, roots
+from .rootfind import classify, roots
 
 __all__ = [
     "ReflectionOutput",
@@ -30,6 +30,9 @@ __all__ = [
     "smoothed_logplus",
     "mu_moment",
 ]
+
+# smoothed_logplus: default node bounds, rel_tol well inside identity-3-1's 1e-8
+_SMOOTHING_GRID = QuadratureConfig(rel_tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -45,17 +48,14 @@ class ReflectionOutput:
     modulus_discrepancy: float
 
 
-def reflect_outside(
-    T: LaurentPolynomial,
-    R: RootSet | None = None,
-    eps: float = DEFAULT_CIRCLE_EPS,
-) -> ReflectionOutput:
+def reflect_outside(T: LaurentPolynomial, R: RootSet | None = None) -> ReflectionOutput:
     """Reflect every zero of z^n T lying strictly outside the unit circle.
 
-    Roots within eps of the circle already lie in the closed disk for our
-    purposes and are kept in place; reflecting them would change V by O(eps)
-    without improving anything. T is deflated to its effective class first;
-    the top coefficient must survive deflation. ``R`` must hold the zeros of
+    Roots within eps = rootfind.DEFAULT_CIRCLE_EPS of the circle (classify's
+    band) already lie in the closed disk for our purposes and are kept in
+    place; reflecting them would change V by O(eps) without improving
+    anything. T is deflated to its effective class first; the top
+    coefficient must survive deflation. ``R`` must hold the zeros of
     z^n T for the deflated class (it is recomputed when omitted).
     """
     if T.is_zero():
@@ -70,7 +70,7 @@ def reflect_outside(
         raise RootCountError(
             f"root set has {len(R)} zeros, expected {2 * n} for class bound {n}"
         )
-    part = classify(R, eps)
+    part = classify(R)
     outside = part.outside
     if outside.shape[0] == 0:
         return ReflectionOutput(v=T, m=0, modulus_discrepancy=0.0)
@@ -99,21 +99,19 @@ def perturb_by_en(T: LaurentPolynomial, w: complex) -> LaurentPolynomial:
     return T + LaurentPolynomial.monomial(T.n, T.n, w)
 
 
-def smoothed_logplus(v: complex, nodes: int = 64) -> float:
+def smoothed_logplus(v: complex) -> float:
     """Circle average (1/2pi) int log|v + e^{is}| ds, which equals log^+|v|.
 
     By Jensen's formula this is log M_0(v + z), and it is computed as such:
     mean_0_quadrature on the Laurent polynomial v + z, whose z (v + z) has
-    the zeros {0, -v}, starting the trapezoid at ``nodes`` (at least 16)
-    with rel_tol 1e-12. For |v| within NEAR_CIRCLE_THRESHOLD of 1 the
-    integrand has a (near-)singular angle at arg(-v), and panels graded
-    into it keep full accuracy there.
+    the zeros {0, -v}, on _SMOOTHING_GRID. For |v| within
+    NEAR_CIRCLE_THRESHOLD of 1 the integrand has a (near-)singular angle at
+    arg(-v), and panels graded into it keep full accuracy there.
     """
     v = complex(v)
     T = LaurentPolynomial(1, [0.0, v, 1.0])
     R = RootSet(leading=1.0, roots=[0.0, -v])
-    grid = QuadratureConfig(start_nodes=nodes, rel_tol=1e-12)
-    return math.log(mean_0_quadrature(T, R, grid).value)
+    return math.log(mean_0_quadrature(T, R, _SMOOTHING_GRID).value)
 
 
 def mu_moment(u: float, p: float) -> float:

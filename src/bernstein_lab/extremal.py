@@ -25,6 +25,11 @@ __all__ = ["RatioTrace", "maximize_ratio", "bernstein_ratio"]
 
 RATIO_CEILING = 1.0 + 1e-6
 DEGENERATE_MEAN = 1e-12
+# maximize_ratio's defaults, which the CLI's --restarts and --budget share
+DEFAULT_RESTARTS = 8
+DEFAULT_BUDGET = 20000
+# first step of _compass_polish, halved while no axis step improves
+_COMPASS_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,7 @@ def _simplex_around(x: np.ndarray, size: float) -> np.ndarray:
     return simplex
 
 
-def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int, step: float = 0.1):
+def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int):
     """Axis-aligned pattern search from x until the budget or step floor.
 
     Nelder-Mead stalls on the non-smooth p = 0 and p = inf objectives well
@@ -132,6 +137,7 @@ def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int, step: float =
     fx = tracker(x)
     best_x = x.copy()
     dim = x.shape[0]
+    step = _COMPASS_STEP
     while tracker.evaluations < budget and step > 1e-9:
         improved = False
         for i in range(dim):
@@ -216,8 +222,8 @@ def _one_restart(n: int, p: float, budget: int, seed: int, restart: int):
 def maximize_ratio(
     n: int,
     p: float,
-    restarts: int = 8,
-    budget: int = 20000,
+    restarts: int = DEFAULT_RESTARTS,
+    budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     jobs: int | None = None,
 ) -> RatioTrace:

@@ -72,12 +72,6 @@ class LaurentPolynomial:
     def zero(cls, n: int) -> "LaurentPolynomial":
         return cls(n, np.zeros(2 * n + 1, dtype=complex))
 
-    def coeff(self, j: int) -> complex:
-        """Coefficient a_j; zero outside the stored window."""
-        if abs(j) > self.n:
-            return 0j
-        return complex(self.coeffs[j + self.n])
-
     @property
     def top(self) -> complex:
         """a_n, the coefficient the equality case and reflection pivot on."""
@@ -167,23 +161,6 @@ class LaurentPolynomial:
         return LaurentPolynomial(self.n, self.coeffs * complex(c))
 
     __rmul__ = __mul__
-
-    def coeff_close(self, other: "LaurentPolynomial", tol: float = 0.0) -> bool:
-        """Coefficientwise comparison after aligning exponent windows."""
-        n = max(self.n, other.n)
-        a = np.zeros(2 * n + 1, dtype=complex)
-        b = np.zeros(2 * n + 1, dtype=complex)
-        a[n - self.n : n + self.n + 1] = self.coeffs
-        b[n - other.n : n + other.n + 1] = other.coeffs
-        if tol == 0.0:
-            return bool(np.array_equal(a, b))
-        scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0)
-        return bool(np.max(np.abs(a - b)) <= tol * scale)
-
-    def rotated(self, theta: float) -> "LaurentPolynomial":
-        """The polynomial z -> T(e^{i theta} z); coefficient a_j picks up e^{ij theta}."""
-        j = np.arange(-self.n, self.n + 1)
-        return LaurentPolynomial(self.n, self.coeffs * np.exp(1j * theta * j))
 
     def to_json_dict(self) -> dict:
         """Polynomial literal: {"n": int, "coeffs": [[re, im], ...]}."""

@@ -242,8 +242,8 @@ def singular_circle_mean(
     f,
     angles: np.ndarray,
     oscillation_degree: int,
-    rel_tol: float = 1e-10,
-    absolute: bool = True,
+    rel_tol: float,
+    absolute: bool,
 ):
     """Mean of f over [0, 2pi) with panels graded into each angle in ``angles``.
 

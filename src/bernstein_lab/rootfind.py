@@ -52,6 +52,8 @@ DEFAULT_CIRCLE_EPS = 1e-9
 # measured, 3.1x at most). For degree up to about 100 this keeps
 # root-product means inside the 1e-8 relative verdict tolerance.
 MAX_RESIDUAL = 1e-10
+# Newton steps at most per root in _newton_polish, and Aberth steps in _refined
+_NEWTON_ITER = 8
 _COMPENSATED_ITER = 30
 _ESCALATION_DPS = 30
 _ESCALATION_MAXSTEPS = 400
@@ -112,18 +114,18 @@ def _residual_within(
     return res <= limit, res
 
 
-def _newton_polish(c: np.ndarray, z: np.ndarray, iters: int = 8):
+def _newton_polish(c: np.ndarray, z: np.ndarray):
     """Per-root Newton steps until |P| reaches rounding level; returns (z, (|P(z)|, mu)).
 
     A root stops once |P(z_k)| is within its running rounding bound
     _ROUNDING_BOUND * mu_k, below which a step only follows rounding noise,
     or once a step fails to lower |P(z_k)|; that step is not kept. At most
-    ``iters`` steps. Every pass is one _horner_bound call over all roots, and
+    _NEWTON_ITER steps. Every pass is one _horner_bound call over all roots, and
     the last one's values are returned for the residual check.
     """
     p, dp, mu = _horner_bound(c, z)
     active = np.abs(p) > _ROUNDING_BOUND * mu
-    for _ in range(iters):
+    for _ in range(_NEWTON_ITER):
         if not np.any(active):
             break
         step = p / np.where(np.abs(dp) < 1e-300, 1e-300 + 0j, dp)

@@ -70,21 +70,44 @@ DISTRIBUTIONS = (
 
 DEFAULT_P_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 16.0)
 
+# The sweep options each claim reads besides tol and grid, with their
+# defaults: run_sweep's keyword arguments override them, and the CLI's
+# --p, --fubini, --points and --p-grid set them.
+SWEEP_OPTIONS = {
+    "thm-1-3": {"p": 2.0},
+    "thm-1-2": {"fubini": True},
+    "lemma-2-2": {"points": 4096},
+    "monotone-p": {"p_grid": DEFAULT_P_GRID},
+}
+
 # Largest relative gap allowed between the direct log^+ integrals of
 # Theorem 1.2 and their smoothing-route averages.
 FUBINI_TOL = 1e-3
-# Points of the smoothing route's w grid, and the (u, p) grid of identity 3.2.
+# Points of the smoothing route's w grid.
 W_POINTS = 64
-IDENTITY_3_2_U = np.geomspace(1e-3, 1e3, 25)
-IDENTITY_3_2_P = (0.25, 0.5, 1.0, 2.0, 4.0)
+# The (u, p) pairs of identity 3.2, one sample each, in sweep order.
+IDENTITY_3_2_GRID = tuple(
+    (float(u), q) for u in np.geomspace(1e-3, 1e3, 25) for q in (0.25, 0.5, 1.0, 2.0, 4.0)
+)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Pass/fail record of one check, with margins and the worst sample.
 
-    passed is equivalent to margin >= -tolerance_used * max(|lhs|, |rhs|, 1);
-    skipped reports mark inputs that do not meet a conditional hypothesis and
+    For most claims, margin is rhs - lhs (one-sided claims) or -|lhs - rhs|
+    (equalities), and passed is margin >= -tolerance_used * max(|lhs|, |rhs|, 1).
+    Three claims judge otherwise:
+
+    * identity-3-1: margin is -|lhs - rhs|, and passed is
+      |lhs - rhs| <= tolerance_used, an absolute test;
+    * identity-3-2: margin is -|lhs / rhs - 1|, and passed is
+      |lhs / rhs - 1| <= tolerance_used;
+    * thm-1-2: the margin rule above, and with the smoothing route on, also
+      a deviation of at most FUBINI_TOL between its averages and the direct
+      integrals; a larger deviation fails the report whatever its margin.
+
+    Skipped reports mark inputs that do not meet a conditional hypothesis and
     never count as failures.
     """
 
@@ -273,11 +296,12 @@ def check_bernstein(
     p takes circle_means.mean. The class bound n is the stored one, which
     only weakens the right side favorably when the top coefficient vanishes.
     ``roots_hint`` and ``droots_hint`` are candidate zeros of z^n T and of
-    z^{n+1} T'; each is used only if it factors the stored coefficients
-    (rootfind.checked_roots), so both sides are computed for the polynomial
-    actually stored. T' is T.derivative(), whose coefficients j a_j are
-    rounded to double: the verdict is for that rounded T', whose M_0 can sit
-    1.5e-8 relative from the exact derivative's for 32 unimodular factors.
+    z^{n+1} T'; each is checked where it is read (rootfind.checked_roots)
+    and used only if it factors the stored coefficients, so both sides are
+    computed for the polynomial actually stored. T' is T.derivative(), whose
+    coefficients j a_j are rounded to double: the verdict is for that
+    rounded T', whose M_0 can sit 1.5e-8 relative from the exact
+    derivative's for 32 unimodular factors.
     """
     if T.is_zero():
         raise ValueError("cannot check the zero polynomial")
@@ -295,12 +319,6 @@ def check_bernstein(
         rep_q = _ineq_report(claim, lhs_q, rhs_q, tol, _witness(T, p=0.0), "quadrature")
         worse = _worst((rep_j, rep_q))
         return replace(worse, detail=f"worse of both routes ({worse.detail})")
-    if not math.isinf(p):
-        # without a hint mean_p solves only when p needs the zeros (non-even p)
-        if droots_hint is not None:
-            droots_hint = checked_roots(dT.to_algebraic(), droots_hint)
-        if roots_hint is not None:
-            roots_hint = checked_roots(T.to_algebraic(), roots_hint)
     lhs = mean(dT, p, grid, roots_hint=droots_hint).value
     rhs = n * mean(T, p, grid, roots_hint=roots_hint).value
     witness = _witness(T, p="inf" if math.isinf(p) else float(p))
@@ -365,7 +383,7 @@ def check_lemma_2_1(
 def check_lemma_2_2(
     T: LaurentPolynomial,
     V: LaurentPolynomial,
-    points: int = 4096,
+    points: int = SWEEP_OPTIONS["lemma-2-2"]["points"],
     tol: float = 1e-8,
 ) -> VerificationReport:
     """|T| <= |V| on the circle plus zeros of z^n V in the disk give |T'| <= |V'|.
@@ -412,7 +430,7 @@ def check_theorem_1_2(
     T: LaurentPolynomial,
     grid: QuadratureConfig = DEFAULT_GRID,
     tol: float = 1e-6,
-    fubini: bool = True,
+    fubini: bool = SWEEP_OPTIONS["thm-1-2"]["fubini"],
 ) -> VerificationReport:
     """Mean of log^+|T'/n| on the circle never exceeds the mean of log^+|T|.
 
@@ -466,9 +484,8 @@ def check_monotone_p(
     ps = [float(q) for q in p_grid]
     if any(b <= a for a, b in zip(ps, ps[1:])) or not all(0 < q < math.inf for q in ps):
         raise ValueError("p grid must be strictly ascending, positive and finite")
-    R = checked_roots(T.to_algebraic(), roots_hint)
     ladder = [0.0, *ps, math.inf]
-    values = [res.value for res in means(T, ladder, grid, roots_hint=R)]
+    values = [res.value for res in means(T, ladder, grid, roots_hint=roots_hint)]
     labels = [f"{q:g}" for q in ladder]
     return _worst(
         _ineq_report("monotone-p", a, b, tol, _witness(T, step=f"p={la} vs p={lb}"))
@@ -500,10 +517,6 @@ def _check_identity_3_1(spec: SampleSpec, index: int) -> VerificationReport:
     )
 
 
-def identity_3_2_grid() -> list[tuple[float, float]]:
-    return [(float(u), float(q)) for u in IDENTITY_3_2_U for q in IDENTITY_3_2_P]
-
-
 def _check_identity_3_2(u: float, p: float, tol: float = 1e-8) -> VerificationReport:
     lhs = mu_moment(u, p)
     rhs = u**p
@@ -524,33 +537,32 @@ def _check_identity_3_2(u: float, p: float, tol: float = 1e-8) -> VerificationRe
 
 
 def _run_one(claim: str, spec: SampleSpec, index: int, opts: dict) -> VerificationReport:
-    # each check keeps its own default tolerance unless the caller set one
+    if claim in SWEEP_OPTIONS:
+        opts = {**SWEEP_OPTIONS[claim], **opts}
+    # tol and grid reach a check only when the caller set them, so each
+    # check keeps its own defaults otherwise
     tol = {} if opts.get("tol") is None else {"tol": opts["tol"]}
-    grid = opts.get("grid", DEFAULT_GRID)
+    grid = {} if opts.get("grid") is None else {"grid": opts["grid"]}
     if claim == "identity-3-1":
         return _check_identity_3_1(spec, index)
     if claim == "identity-3-2":
-        pairs = opts.get("pairs") or identity_3_2_grid()
-        u, q = pairs[index]
-        return _check_identity_3_2(u, q, **tol)
+        return _check_identity_3_2(*IDENTITY_3_2_GRID[index], **tol)
     T, planted = sample_with_roots(spec, index)
     if claim in ("thm-1-1", "thm-1-3"):
-        p = 0.0 if claim == "thm-1-1" else opts.get("p", 2.0)
-        rep = check_bernstein(T, p, grid=grid, roots_hint=planted, **tol)
+        p = 0.0 if claim == "thm-1-1" else opts["p"]
+        rep = check_bernstein(T, p, roots_hint=planted, **grid, **tol)
     elif claim == "thm-1-2":
-        rep = check_theorem_1_2(T, grid, fubini=opts.get("fubini", True), **tol)
+        rep = check_theorem_1_2(T, fubini=opts["fubini"], **grid, **tol)
     elif claim == "lemma-2-1":
         rep = check_lemma_2_1(T, roots_hint=planted)
     elif claim == "lemma-2-2":
         hint = None if planted is None else checked_roots(T.deflated().to_algebraic(), planted)
         out = reflect_outside(T, hint)
-        rep = check_lemma_2_2(T, out.v, opts.get("points", 4096), **tol)
+        rep = check_lemma_2_2(T, out.v, opts["points"], **tol)
     elif claim == "equality-case":
         rep = check_equality_case(T, roots_hint=planted, **tol)
     elif claim == "monotone-p":
-        rep = check_monotone_p(
-            T, opts.get("p_grid", DEFAULT_P_GRID), grid=grid, roots_hint=planted, **tol
-        )
+        rep = check_monotone_p(T, opts["p_grid"], roots_hint=planted, **grid, **tol)
     else:
         raise ValueError(f"unknown claim {claim!r}")
     if rep.witness is not None:
@@ -566,17 +578,14 @@ def run_sweep(
 ) -> list[VerificationReport]:
     """Evaluate one claim over every sample of ``spec``, in index order.
 
-    With jobs > 1 the samples are scored by a process pool; outputs are
-    collected in index order, so results do not depend on the pool size.
+    ``opts`` may set tol, grid and the claim's SWEEP_OPTIONS; the rest keep
+    their defaults. identity-3-2 sweeps IDENTITY_3_2_GRID instead of spec's
+    samples. With jobs > 1 the samples are scored by a process pool; outputs
+    are collected in index order, so results do not depend on the pool size.
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
-    if claim == "identity-3-2":
-        pairs = opts.get("pairs") or identity_3_2_grid()
-        opts = {**opts, "pairs": pairs}
-        count = len(pairs)
-    else:
-        count = spec.count
+    count = len(IDENTITY_3_2_GRID) if claim == "identity-3-2" else spec.count
     indices = range(count)
     if jobs is None:
         jobs = os.cpu_count() or 1

@@ -172,6 +172,14 @@ class TestMeanDispatch:
         assert mean(T, 2.0) == mean_p(T, 2.0)
         assert mean(T, math.inf) == mean_inf(T)
 
+    def test_wrong_hint_is_checked(self):
+        # z (z - 2): M_0 is 2, and the hint's zeros {0, 3} do not factor it
+        T = LaurentPolynomial(1, [0, -2, 1])
+        wrong = RootSet(1.0, [0.0, 3.0])
+        assert mean(T, 0.0, roots_hint=wrong).value == pytest.approx(2.0, rel=1e-12)
+        exact = mean_p(T, 0.5, roots_hint=RootSet(1.0, [0.0, 2.0]))
+        assert mean_p(T, 0.5, roots_hint=wrong) == exact
+
 
 class TestSharedLadder:
     """``means`` runs every finite p through one trapezoid pass; each value

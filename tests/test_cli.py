@@ -8,6 +8,7 @@ import pytest
 from bernstein_lab import jsonio
 from bernstein_lab.cli import main, parse_p
 from bernstein_lab.polynomials import LaurentPolynomial
+from bernstein_lab.verify import SWEEP_OPTIONS, SampleSpec, run_sweep
 
 
 @pytest.fixture
@@ -94,15 +95,15 @@ class TestMeans:
 
 
     def test_zeros_solved_only_when_read(self, tmp_path, capsys, monkeypatch):
-        from bernstein_lab import circle_means
+        from bernstein_lab import rootfind
 
         rng = np.random.default_rng(11)
         T = LaurentPolynomial(3, rng.normal(size=7) + 1j * rng.normal(size=7))
         path = tmp_path / "r.json"
         path.write_text(json.dumps(T.to_json_dict()))
         calls = []
-        solve = circle_means.roots
-        monkeypatch.setattr(circle_means, "roots", lambda P: calls.append(P) or solve(P))
+        solve = rootfind.roots
+        monkeypatch.setattr(rootfind, "roots", lambda P: calls.append(P) or solve(P))
 
         def table(ps):
             del calls[:]
@@ -262,6 +263,18 @@ class TestVerifyCommand:
         ])
         assert rc == 0
         assert len(open(out).read().splitlines()) == 3
+
+
+    @pytest.mark.parametrize("claim", sorted(SWEEP_OPTIONS))
+    def test_defaults_match_library(self, tmp_path, claim):
+        out = tmp_path / "r.jsonl"
+        argv = ["verify", "--claim", claim, "--n", "3", "--count", "3", "--seed", "5"]
+        main([*argv, "--jobs", "1", "--out", str(out)])
+        spec = SampleSpec(n=3, distribution="roots-mixed", seed=5, count=3)
+        library = run_sweep(claim, spec, jobs=1)
+        assert out.read_text() == "".join(jsonio.dump_line(r.to_json_dict()) for r in library)
+        run = json.loads((tmp_path / "r.jsonl.run.json").read_text())
+        assert run["params"]["extra"] == json.loads(jsonio.dumps(SWEEP_OPTIONS[claim]))
 
 
 class TestExtremalCommand:

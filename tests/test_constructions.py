@@ -86,7 +86,9 @@ class TestReflectOutside:
         first = reflect_outside(T)
         second = reflect_outside(first.v)
         assert second.m == 0
-        assert first.v.coeff_close(second.v, 1e-10)
+        a, b = first.v.coeffs, second.v.coeffs
+        assert first.v.n == second.v.n
+        assert np.max(np.abs(a - b)) <= 1e-10 * max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0)
 
     def test_reflected_zeros_in_closed_disk(self):
         from bernstein_lab.rootfind import classify
@@ -112,7 +114,7 @@ class TestPerturbByEn:
     def test_zero_class_polynomial_becomes_monomial(self):
         T = LaurentPolynomial.zero(3)
         out = perturb_by_en(T, 1.0)
-        assert out.coeff_close(LaurentPolynomial.monomial(3, 3))
+        assert np.array_equal(out.coeffs, LaurentPolynomial.monomial(3, 3).coeffs)
 
     def test_cancels_monomial(self):
         T = LaurentPolynomial.monomial(2, 2)
@@ -162,10 +164,6 @@ class TestSmoothedLogplus:
         base = smoothed_logplus(v)
         for theta in (0.5, 2.0, 4.4):
             assert smoothed_logplus(v * np.exp(1j * theta)) == pytest.approx(base, abs=1e-10)
-
-    def test_node_floor(self):
-        with pytest.raises(ValueError):
-            smoothed_logplus(2.0, nodes=8)
 
 
 class TestMuMoment:

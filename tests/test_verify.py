@@ -110,7 +110,9 @@ class TestCheckBernstein:
         for i in range(3):
             T = sample_polynomial(spec, i)
             base = check_bernstein(T, 2.0)
-            rot = check_bernstein(T.rotated(1.234), 2.0)
+            # T(e^{i theta} z): a_j picks up e^{i j theta}
+            j = np.arange(-T.n, T.n + 1)
+            rot = check_bernstein(LaurentPolynomial(T.n, T.coeffs * np.exp(1.234j * j)), 2.0)
             assert rot.margin / rot.rhs == pytest.approx(base.margin / base.rhs, abs=1e-9)
 
     def test_report_determinism(self):
