@@ -350,8 +350,12 @@ def logplus_integral(T: LaurentPolynomial, grid: QuadratureConfig = DEFAULT_GRID
     """(1/2pi) integral of log^+|T(e^{it})| = max(log|T|, 0) over the circle.
 
     The integrand is continuous with kinks where |T| crosses 1. Crossings are
-    located by a fine scan plus bisection and become panel boundaries; panels
-    entirely below 1 contribute zero, the rest are integrated adaptively.
+    located by a fine scan plus bisection and become panel ends (one panel,
+    [0, 2pi], when the scan shows none). One adaptive_gl pass then takes
+    every panel at once, to an absolute tolerance on the integral set from
+    grid.rel_tol and the scan's rough value: panels below 1 are exactly 0
+    under both of its rules, and a kink the scan missed is bisected like any
+    other.
     """
     _reject_zero(T)
 
@@ -363,7 +367,6 @@ def logplus_integral(T: LaurentPolynomial, grid: QuadratureConfig = DEFAULT_GRID
 
     n_scan = max(8192, 64 * (2 * T.n + 1))
     n_scan = 1 << int(np.ceil(np.log2(n_scan)))
-    t = quad.circle_grid(n_scan)
     hv = np.log(np.maximum(np.abs(T.on_grid(n_scan)), 1e-300))
     pos = hv > 0.0
     if not np.any(pos):
@@ -372,25 +375,13 @@ def logplus_integral(T: LaurentPolynomial, grid: QuadratureConfig = DEFAULT_GRID
         return 0.0
     flips = np.nonzero(pos != np.roll(pos, -1))[0]
     if flips.size == 0:
-        # |T| > 1 throughout: converge on exp of the mean, as M_0 does
-        mean_val, _, _, _ = quad.periodic_mean_doubling(
-            hplus, grid.start_nodes, grid.max_nodes, grid.rel_tol, transform=math.exp
-        )
-        return float(mean_val)
-    lo = t[flips]
-    hi = lo + TWO_PI / n_scan
-    crossings = np.sort(quad.bisect_roots(h, lo, hi))
-    brk = np.concatenate([crossings, [crossings[0] + TWO_PI]])
+        brk = np.array([0.0, TWO_PI])
+    else:
+        lo = quad.circle_grid(n_scan)[flips]
+        crossings = np.sort(quad.bisect_roots(h, lo, lo + TWO_PI / n_scan))
+        brk = np.concatenate([crossings, [crossings[0] + TWO_PI]])
 
     rough = float(np.mean(np.maximum(hv, 0.0)))
     tol_total = 1e-13 + grid.rel_tol * max(rough, 1e-3)
-    total = 0.0
-    for a, b in zip(brk[:-1], brk[1:]):
-        if b - a <= 1e-13:
-            continue
-        probes = a + (b - a) * (np.arange(1, 10) / 10.0)
-        if np.all(h(probes) <= 0.0):
-            continue
-        val, _ = quad.adaptive_gl(hplus, a, b, tol_total * (b - a) / TWO_PI)
-        total += val
+    total, _ = quad.adaptive_gl(hplus, brk[:-1], brk[1:], tol_total / TWO_PI, True)
     return total / TWO_PI

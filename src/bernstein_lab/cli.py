@@ -190,7 +190,14 @@ def cmd_verify(args) -> int:
     tol = _resolve(args, config, "tol", None)
     if tol is not None:
         opts["tol"] = float(tol)
-    for name, default in SWEEP_OPTIONS.get(claim, {}).items():
+    row = SWEEP_OPTIONS.get(claim, {})
+    # --config keys are shared defaults, so a claim reads only its own; a
+    # flag it does not read is an error
+    given = [name for name in _SWEEP_OPTION_PARSERS if getattr(args, name) is not None]
+    unread = ["--" + name.replace("_", "-") for name in given if name not in row]
+    if unread:
+        return _usage_error(f"{claim} does not read {', '.join(unread)}")
+    for name, default in row.items():
         value = _resolve(args, config, name, None)
         opts[name] = default if value is None else _SWEEP_OPTION_PARSERS[name](value)
 
@@ -218,7 +225,7 @@ def cmd_verify(args) -> int:
             "claim": claim,
             "n": spec.n,
             "distribution": spec.distribution,
-            "count": spec.count,
+            "count": len(reports),
             "tol": opts.get("tol"),
             "grid": grid.to_json_dict(),
             "extra": {

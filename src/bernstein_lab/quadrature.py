@@ -1,13 +1,14 @@
 """Quadrature building blocks for integrands on the unit circle.
 
-Three engines cover every integrand shape the package meets:
+Two engines cover every integrand shape the package meets:
 
-* uniform trapezoid sums with node doubling, the cheapest high-accuracy rule
-  for smooth periodic integrands;
-* fixed Gauss-Legendre panels whose subpanel widths grade geometrically into
-  an endpoint, for integrable endpoint singularities (log-type or |t|^alpha);
-* adaptive Gauss-Legendre bisection for piecewise-smooth integrands whose
-  awkward points are only approximately known.
+* uniform trapezoid sums with node doubling (periodic_mean_doubling), the
+  cheapest high-accuracy rule for smooth periodic integrands;
+* adaptive Gauss-Legendre panels (adaptive_gl), bisected where an
+  order-halved rule disagrees, for integrands with kinks or integrable
+  singularities at or near known points. singular_circle_mean feeds it
+  panels graded geometrically into singular angles (log-type or |t|^alpha);
+  a piecewise-smooth integrand gets its kinks as panel ends.
 
 All functions take vectorized callables: f(ndarray of angles) -> ndarray.
 """
@@ -36,16 +37,13 @@ TWO_PI = 2.0 * np.pi
 # one before, down to a relative width of _GRADING_FLOOR.
 _GRADING_RATIO = 0.3
 _GRADING_FLOOR = 1e-15
-# Gauss-Legendre orders of the singular panels (checked against half this
-# order) and of adaptive_gl, whose bisection stops at _MAX_DEPTH.
+# Gauss-Legendre order of adaptive_gl's panels, checked against half this order.
 _PANEL_ORDER = 16
-_ADAPTIVE_ORDER = 12
-_MAX_DEPTH = 48
-# Refinement limits of singular_circle_mean. Panels below this width are the
-# innermost slivers at a singular angle: there the order-halved estimate
-# stays a fixed fraction of the panel's integral however far it is split,
-# while that integral is itself below about 1e-10. The panel cap bounds the
-# integrand values at about 4 * 10^5.
+# Refinement limits of adaptive_gl. Panels below this width are, in
+# singular_circle_mean, the innermost slivers at a singular angle: there the
+# order-halved estimate stays a fixed fraction of the panel's integral
+# however far it is split, while that integral is itself below about 1e-10.
+# The panel cap bounds the integrand values at about 4 * 10^5.
 _MIN_PANEL_WIDTH = 1e-12
 _MAX_PANELS = 1 << 14
 # bisect_roots halvings: 50 take a panel of width up to 2 pi below 1e-14.
@@ -85,39 +83,31 @@ def periodic_mean_doubling(
     start_nodes: int,
     max_nodes: int,
     rel_tol: float,
-    transform=None,
-    integrands=None,
+    transform,
+    integrands,
 ):
-    """Mean of f over [0, 2pi) by uniform sampling with node doubling.
+    """Means of k integrands over [0, 2pi) by uniform sampling with node doubling.
 
-    Doubling interleaves midpoints so earlier samples are reused. Convergence
-    is judged on transform(mean) between successive refinements, relative to
-    it. A log-scale integrand, whose mean may sit at zero, converges on
-    transform=exp: to first order that is an absolute test on its mean.
-    Returns (raw_mean, transformed, err, nodes) where err is the last
-    refinement delta on the transformed value.
+    One pass computes the k means on the same nodes: f(t) evaluates what the
+    integrands share once per batch of nodes, and integrands[i](f(t)) gives
+    the values of integrand i. Doubling interleaves midpoints so earlier
+    samples are reused. Integrand i converges on transform[i](mean) between
+    successive refinements, relative to it; a log-scale integrand, whose mean
+    may sit at zero, converges on exp: to first order that is an absolute
+    test on its mean. Each integrand keeps its own running sum, stops at its
+    own level and is not evaluated after it stops. Returns (raw_means,
+    transformed, errs, nodes): lists of k floats, errs[i] being the last
+    refinement delta on transformed[i], and the largest node count reached.
 
     f is always called with one whole grid, circle_grid(m, s): s = 0 for the
     first m = start_nodes angles, then s = 1/2 for the m midpoints of each
     doubling. grid_of(t) recovers (m, s) from it.
-
-    With ``integrands``, a list of k callables, one pass computes k means on
-    the same nodes: f(t) evaluates what they share once per batch of nodes,
-    integrands[i](f(t)) gives the values of integrand i, and ``transform`` is
-    a list of k callables. Each integrand keeps its own running sum and stops
-    at its own level, and is not evaluated after it stops. raw_mean,
-    transformed and err are then lists of k floats; nodes is the largest node
-    count reached.
     """
-    single = integrands is None
-    if single:
-        integrands, transform = [lambda v: v], [transform]
-    transforms = [(lambda x: x) if tr is None else tr for tr in transform]
     n = max(int(start_nodes), 8)
     shared = f(circle_grid(n))
     totals = [float(np.sum(g(shared))) for g in integrands]
     raw = [total / n for total in totals]
-    prev = [tr(x) for tr, x in zip(transforms, raw)]
+    prev = [tr(x) for tr, x in zip(transform, raw)]
     err = [np.inf] * len(integrands)
     active = list(range(len(integrands)))
     while active and n < max_nodes:
@@ -127,14 +117,12 @@ def periodic_mean_doubling(
         for i in active:
             totals[i] += float(np.sum(integrands[i](shared)))
             raw[i] = totals[i] / n
-            cur = transforms[i](raw[i])
+            cur = transform[i](raw[i])
             err[i] = abs(cur - prev[i])
             prev[i] = cur
             if err[i] > rel_tol * max(abs(cur), 1e-300):
                 still.append(i)
         active = still
-    if single:
-        return raw[0], prev[0], err[0], n
     return raw, prev, err, n
 
 
@@ -207,35 +195,41 @@ def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, orders) -> list[np.ndarr
     return out
 
 
-def adaptive_gl(f, a: float, b: float, abs_tol: float):
-    """Adaptive Gauss-Legendre bisection of f over [a, b].
+def adaptive_gl(f, a, b, tol: float, absolute: bool):
+    """Adaptive Gauss-Legendre of f over the panels [a_i, b_i].
 
-    Returns (value, err_estimate). Panels are accepted when one rule and its
-    bisected refinement agree within the panel's share of abs_tol; depth-capped
-    panels are accepted as-is with their disagreement charged to the estimate.
+    ``a`` and ``b`` are the panel ends: scalars for one panel, or arrays.
+    Each pass stacks every panel into one call to f. A panel's error is
+    estimated by an order-halved re-evaluation, and panels whose estimate
+    exceeds their width's share of the tolerance are bisected until the total
+    meets ``tol`` on the integral divided by the panels' total width
+    (absolute when ``absolute``, relative to it otherwise). Panels narrower
+    than _MIN_PANEL_WIDTH are not split; nor is anything once _MAX_PANELS is
+    reached. Returns (integral, err_estimate), the estimate being the one
+    reached when refinement stopped.
     """
-    nodes, weights = gl_rule(_ADAPTIVE_ORDER)
-
-    def rule(lo, hi):
-        pts = lo + 0.5 * (hi - lo) * (nodes + 1.0)
-        return float(0.5 * (hi - lo) * np.dot(weights, f(pts)))
-
-    total = 0.0
-    err = 0.0
-    stack = [(a, b, rule(a, b), abs_tol, 0)]
-    while stack:
-        lo, hi, coarse, tol, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = rule(lo, mid)
-        right = rule(mid, hi)
-        disagreement = abs(left + right - coarse)
-        if disagreement <= max(tol, 1e-16 * (abs(left) + abs(right))) or depth >= _MAX_DEPTH:
-            total += left + right
-            err += disagreement
-        else:
-            stack.append((lo, mid, left, 0.5 * tol, depth + 1))
-            stack.append((mid, hi, right, 0.5 * tol, depth + 1))
-    return total, err
+    lo = np.atleast_1d(np.asarray(a, dtype=float))
+    hi = np.atleast_1d(np.asarray(b, dtype=float))
+    width = float(np.sum(hi - lo))
+    orders = (_PANEL_ORDER, _PANEL_ORDER // 2)
+    fine, coarse = _panel_integrals(f, lo, hi, orders)
+    while True:
+        err = np.abs(fine - coarse)
+        scale = 1.0 if absolute else abs(np.sum(fine)) / width
+        if np.sum(err) <= tol * scale * width:
+            break
+        split = (err > tol * scale * (hi - lo)) & (hi - lo > _MIN_PANEL_WIDTH)
+        if not np.any(split) or lo.shape[0] + np.count_nonzero(split) > _MAX_PANELS:
+            break
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_fine, new_coarse = _panel_integrals(f, new_lo, new_hi, orders)
+        lo = np.concatenate([lo[~split], new_lo])
+        hi = np.concatenate([hi[~split], new_hi])
+        fine = np.concatenate([fine[~split], new_fine])
+        coarse = np.concatenate([coarse[~split], new_coarse])
+    return float(np.sum(fine)), float(np.sum(np.abs(fine - coarse)))
 
 
 def singular_circle_mean(
@@ -250,13 +244,9 @@ def singular_circle_mean(
     The circle is split at the given (singular) angles; every panel grades
     geometrically into both of its endpoints and is capped so smooth stretches
     stay resolved for integrands oscillating on the scale of the given degree.
-    Each panel's error is estimated by an order-halved re-evaluation, and
-    panels whose estimate exceeds their share of the tolerance are bisected
-    until the total meets ``rel_tol`` (absolute on the mean when
-    ``absolute``, relative to it otherwise). Panels narrower than
-    _MIN_PANEL_WIDTH, the innermost slivers at a singular angle, are not
-    split; nor is anything once _MAX_PANELS is reached. Returns (mean,
-    err_estimate), the estimate being the one reached when refinement stopped.
+    The panels are refined by adaptive_gl until the estimate meets ``rel_tol``
+    on the mean (absolute when ``absolute``, relative to it otherwise).
+    Returns (mean, err_estimate).
     """
     a = np.sort(np.asarray(angles, dtype=float) % TWO_PI)
     keep = [a[0]]
@@ -272,26 +262,8 @@ def singular_circle_mean(
         if hi > lo
     ]
     edges = np.concatenate([e if i == 0 else e[1:] for i, e in enumerate(pieces)])
-    lo, hi = edges[:-1], edges[1:]
-    orders = (_PANEL_ORDER, _PANEL_ORDER // 2)
-    fine, coarse = _panel_integrals(f, lo, hi, orders)
-    while True:
-        err = np.abs(fine - coarse)
-        scale = 1.0 if absolute else abs(np.sum(fine)) / TWO_PI
-        if np.sum(err) <= rel_tol * scale * TWO_PI:
-            break
-        split = (err > rel_tol * scale * (hi - lo)) & (hi - lo > _MIN_PANEL_WIDTH)
-        if not np.any(split) or lo.shape[0] + np.count_nonzero(split) > _MAX_PANELS:
-            break
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_fine, new_coarse = _panel_integrals(f, new_lo, new_hi, orders)
-        lo = np.concatenate([lo[~split], new_lo])
-        hi = np.concatenate([hi[~split], new_hi])
-        fine = np.concatenate([fine[~split], new_fine])
-        coarse = np.concatenate([coarse[~split], new_coarse])
-    return float(np.sum(fine)) / TWO_PI, float(np.sum(np.abs(fine - coarse))) / TWO_PI
+    total, err = adaptive_gl(f, edges[:-1], edges[1:], rel_tol, absolute)
+    return total / TWO_PI, err / TWO_PI
 
 
 def bisect_roots(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

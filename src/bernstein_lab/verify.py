@@ -578,13 +578,17 @@ def run_sweep(
 ) -> list[VerificationReport]:
     """Evaluate one claim over every sample of ``spec``, in index order.
 
-    ``opts`` may set tol, grid and the claim's SWEEP_OPTIONS; the rest keep
-    their defaults. identity-3-2 sweeps IDENTITY_3_2_GRID instead of spec's
-    samples. With jobs > 1 the samples are scored by a process pool; outputs
-    are collected in index order, so results do not depend on the pool size.
+    ``opts`` may set tol, grid and the claim's SWEEP_OPTIONS, and any other
+    key raises ValueError; the rest keep their defaults. identity-3-2 sweeps
+    IDENTITY_3_2_GRID instead of spec's samples. With jobs > 1 the samples
+    are scored by a process pool; outputs are collected in index order, so
+    results do not depend on the pool size.
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
+    unread = set(opts) - {"tol", "grid", *SWEEP_OPTIONS.get(claim, ())}
+    if unread:
+        raise ValueError(f"{claim} does not read the sweep options {sorted(unread)}")
     count = len(IDENTITY_3_2_GRID) if claim == "identity-3-2" else spec.count
     indices = range(count)
     if jobs is None:

@@ -256,6 +256,15 @@ class TestLogPlus:
         oracle = float(np.mean(np.maximum(np.log(np.abs(T.on_circle(t))), 0.0)))
         assert logplus_integral(T) == pytest.approx(oracle, abs=5e-8)
 
+    def test_dip_between_scan_points(self):
+        # a zero 1.1e-4 from the circle: |T| < 1 only for t in about
+        # [1.8553557, 1.8557181], which the 8192-point scan misses; the value
+        # is mpmath's at 30 and 40 digits
+        from bernstein_lab.verify import SampleSpec, sample_polynomial
+
+        T = sample_polynomial(SampleSpec(16, "roots-mixed", 77, 10), 1)
+        assert logplus_integral(T) == pytest.approx(11.497690057981873, abs=1e-10)
+
 
 class TestMeanProperties:
     def test_power_mean_monotonicity(self):

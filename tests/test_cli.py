@@ -228,6 +228,34 @@ class TestVerifyCommand:
         assert rc == 0
         assert len(open(out).read().splitlines()) == 125
 
+    def test_identity_run_record_counts_reports_written(self, tmp_path, capsys):
+        out = tmp_path / "i.jsonl"
+        argv = ["verify", "--claim", "identity-3-2", "--count", "12", "--jobs", "1"]
+        assert main([*argv, "--out", str(out)]) == 0
+        run = json.loads((tmp_path / "i.jsonl.run.json").read_text())
+        assert run["params"]["count"] == len(out.read_text().splitlines()) == 125
+
+    @pytest.mark.parametrize(
+        "claim, flag",
+        [("thm-1-1", ["--p", "0.5"]), ("thm-1-3", ["--p-grid", "0.5,3"]),
+         ("monotone-p", ["--points", "1024"]), ("lemma-2-2", ["--fubini", "0"])],
+    )
+    def test_flag_the_claim_does_not_read_exits_two(self, tmp_path, capsys, claim, flag):
+        out = tmp_path / "u.jsonl"
+        argv = ["verify", "--claim", claim, "--n", "2", "--count", "2", "--jobs", "1"]
+        assert main([*argv, *flag, "--out", str(out)]) == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_keys_are_shared_defaults(self, tmp_path):
+        # --config may set options for other claims; each claim reads its own
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": "0.5", "points": 1024, "fubini": 0}))
+        out = tmp_path / "c.jsonl"
+        argv = ["verify", "--claim", "thm-1-1", "--n", "2", "--count", "2", "--seed", "3"]
+        assert main([*argv, "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "c.jsonl.run.json").read_text())["params"]["extra"] == {}
+
     def test_unimodular_products_pass(self, tmp_path, capsys):
         # sample 3 of this seed, whatever the count, has 32 unimodular factors
         # whose stored coefficients double precision does not pin

@@ -10,23 +10,25 @@ class TestPeriodicDoubling:
         from scipy.special import iv
 
         raw, val, err, nodes = quad.periodic_mean_doubling(
-            lambda t: np.exp(np.cos(t)), 16, 1 << 16, 1e-12
+            lambda t: np.exp(np.cos(t)), 16, 1 << 16, 1e-12, [lambda x: x], [lambda v: v]
         )
-        assert val == pytest.approx(float(iv(0, 1.0)), rel=1e-12)
+        assert val[0] == pytest.approx(float(iv(0, 1.0)), rel=1e-12)
         assert nodes <= 256
 
     def test_reports_last_delta(self):
-        _, _, err, _ = quad.periodic_mean_doubling(np.cos, 16, 1 << 10, 1e-15)
-        assert err >= 0.0
-
+        _, _, err, _ = quad.periodic_mean_doubling(
+            np.cos, 16, 1 << 10, 1e-15, [lambda x: x], [lambda v: v]
+        )
+        assert err[0] >= 0.0
 
     def test_log_scale_mean_converges_on_exp(self):
         # (1/2pi) int log|e^{it} - 1/2| dt = log max(1, 1/2) = 0 (Jensen)
         raw, val, _, _ = quad.periodic_mean_doubling(
-            lambda t: np.log(np.abs(np.exp(1j * t) - 0.5)), 16, 1 << 16, 1e-12, transform=np.exp
+            lambda t: np.log(np.abs(np.exp(1j * t) - 0.5)), 16, 1 << 16, 1e-12,
+            [np.exp], [lambda v: v],
         )
-        assert raw == pytest.approx(0.0, abs=1e-12)
-        assert val == pytest.approx(1.0, abs=1e-12)
+        assert raw[0] == pytest.approx(0.0, abs=1e-12)
+        assert val[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGradedPanels:
@@ -50,12 +52,22 @@ class TestGradedPanels:
 class TestAdaptiveGL:
     def test_kinked_integrand(self):
         # int_{-1}^{1} |x| dx = 1, kink off any panel boundary
-        value, err = quad.adaptive_gl(np.abs, -1.0, 1.0, 1e-12)
+        value, err = quad.adaptive_gl(np.abs, -1.0, 1.0, 1e-12, absolute=True)
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_smooth_is_cheap_and_exact(self):
-        value, _ = quad.adaptive_gl(np.sin, 0.0, np.pi, 1e-12)
+        value, _ = quad.adaptive_gl(np.sin, 0.0, np.pi, 1e-12, absolute=True)
         assert value == pytest.approx(2.0, rel=1e-13)
+
+    def test_panels_at_once_match_one_at_a_time(self):
+        # int_{-1}^{1} |x - 0.3| dx = 1.09, the kink inside the second panel;
+        # the tolerance is on the total, so each side is run to below 1e-14
+        f = lambda x: np.abs(x - 0.3)
+        both, _ = quad.adaptive_gl(f, np.array([-1.0, 0.0]), np.array([0.0, 1.0]), 1e-15, True)
+        left, _ = quad.adaptive_gl(f, -1.0, 0.0, 1e-15, True)
+        right, _ = quad.adaptive_gl(f, 0.0, 1.0, 1e-15, True)
+        assert both == pytest.approx(left + right, abs=1e-14)
+        assert both == pytest.approx(1.09, abs=1e-14)
 
 
 class TestSingularCircleMean:

@@ -259,6 +259,19 @@ class TestSweeps:
         assert len(reports) == 125
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize(
+        "claim, opts",
+        [
+            ("monotone-p", {"pgrid": (0.5,)}),
+            ("thm-1-1", {"p": 0.5}),
+            ("identity-3-2", {"points": 8}),
+        ],
+    )
+    def test_option_the_claim_does_not_read_is_rejected(self, claim, opts):
+        spec = SampleSpec(n=3, distribution="roots-mixed", seed=5, count=2)
+        with pytest.raises(ValueError, match="does not read"):
+            run_sweep(claim, spec, jobs=1, **opts)
+
     def test_conditional_claim_on_wrong_distribution_skips(self):
         spec = SampleSpec(n=3, distribution="roots-outside", seed=61, count=5)
         reports = run_sweep("lemma-2-1", spec, jobs=1)
