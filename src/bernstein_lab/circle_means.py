@@ -185,7 +185,7 @@ def _quadrature_means(
             integrands.append(lambda abs_for: np.log(np.maximum(abs_for(0.0) / scale, 1e-300)))
             transforms.append(lambda raw: scale * math.exp(raw))
         else:
-            integrands.append(lambda abs_for, p=p, scale_p=scale**p: abs_for(p) ** p / scale_p)
+            integrands.append(lambda abs_for, p=p: (abs_for(p) / scale) ** p)
             transforms.append(lambda raw, p=p: scale * max(raw, 0.0) ** (1.0 / p))
     graded = [i for i, p in enumerate(ps) if not _smooth_at_zeros(p)]
     angles = _near_circle_angles(R) if graded else np.zeros(0)
@@ -355,19 +355,20 @@ def logplus_integral(T: LaurentPolynomial, grid: QuadratureConfig = DEFAULT_GRID
     every panel at once, to an absolute tolerance on the integral set from
     grid.rel_tol and the scan's rough value: panels below 1 are exactly 0
     under both of its rules, and a kink the scan missed is bisected like any
-    other.
+    other. |T| comes from _abs_on_circle, read as at p = 0.
     """
     _reject_zero(T)
+    at = _abs_on_circle(T, grid.rel_tol)
 
     def h(t):
-        return np.log(np.maximum(np.abs(T.on_circle(t)), 1e-300))
+        return np.log(np.maximum(at(t)(0.0), 1e-300))
 
     def hplus(t):
         return np.maximum(h(t), 0.0)
 
     n_scan = max(8192, 64 * (2 * T.n + 1))
     n_scan = 1 << int(np.ceil(np.log2(n_scan)))
-    hv = np.log(np.maximum(np.abs(T.on_grid(n_scan)), 1e-300))
+    hv = h(quad.circle_grid(n_scan))
     pos = hv > 0.0
     if not np.any(pos):
         # grazing from below can still poke above 1 between scan points, but

@@ -2,10 +2,11 @@
 
 The objective is M_p(T') / (n M_p(T)) over the real-and-imaginary coefficient
 vector of T, a scale-invariant quantity bounded by 1 with equality attained
-on the monomial class. Nelder-Mead (restarted from random points) is used
-because the p = 0 and p = inf objectives are non-smooth where zeros cross the
-circle or maxima tie; every function evaluation is recorded so a run doubles
-as a brute-force confirmation that the bound is never exceeded.
+on the monomial class. A compass (axis-aligned pattern) search, restarted
+from random points, needs no gradient, so it works on the p = 0 and p = inf
+objectives, which are non-smooth where zeros cross the circle or maxima tie;
+every function evaluation is recorded so a run doubles as a brute-force
+confirmation that the bound is never exceeded.
 """
 
 from __future__ import annotations
@@ -119,20 +120,15 @@ class _Tracker:
         return -ratio
 
 
-def _simplex_around(x: np.ndarray, size: float) -> np.ndarray:
-    dim = x.shape[0]
-    simplex = np.tile(x, (dim + 1, 1))
-    simplex[1:] += size * np.eye(dim)
-    return simplex
-
-
 def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int):
     """Axis-aligned pattern search from x until the budget or step floor.
 
-    Nelder-Mead stalls on the non-smooth p = 0 and p = inf objectives well
-    short of the optimum; compass steps keep making progress there, and the
-    extremal family itself is axis-aligned in the coefficient vector (middle
-    coefficients go to zero), so this closes the endgame cheaply.
+    Each axis is tried both ways at the current step, an improving direction
+    is followed with doubling strides, and the step halves after a sweep
+    with no improvement. Compass steps keep making progress on the
+    non-smooth p = 0 and p = inf objectives, and the extremal family itself
+    is axis-aligned in the coefficient vector (middle coefficients go to
+    zero).
     """
     fx = tracker(x)
     best_x = x.copy()
@@ -166,50 +162,26 @@ def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int):
                     break
         if not improved:
             step *= 0.5
-    return best_x
 
 
 def _one_restart(n: int, p: float, budget: int, seed: int, restart: int):
-    """One random start: a Nelder-Mead leg, then a pattern-search polish."""
-    from scipy.optimize import minimize
+    """One random start, then pattern-search rounds from the best point so far.
 
+    Each round is a full _compass_polish, restarted at the first step size;
+    the restart stops when the budget is spent or a round gains less than
+    1e-11 in the ratio.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(restart,))
     )
-    dim = 2 * (2 * n + 1)
     tracker = _Tracker(n, p)
-    x = rng.normal(size=dim)
-    minimize(
-        tracker,
-        x,
-        method="Nelder-Mead",
-        options={
-            "maxfev": max(budget // 2, 100),
-            "fatol": 1e-11,
-            "xatol": 1e-9,
-            "adaptive": True,
-            "initial_simplex": _simplex_around(x, 0.5),
-        },
-    )
-    while tracker.best_x is not None and budget - tracker.evaluations > 4 * dim:
+    x = rng.normal(size=2 * (2 * n + 1))
+    while tracker.evaluations < budget:
         before = tracker.best_ratio
-        _compass_polish(tracker, tracker.best_x, budget)
-        if budget - tracker.evaluations <= 4 * dim:
+        _compass_polish(tracker, x, budget)
+        if tracker.best_x is None or tracker.best_ratio - before < 1e-11:
             break
-        minimize(
-            tracker,
-            tracker.best_x,
-            method="Nelder-Mead",
-            options={
-                "maxfev": budget - tracker.evaluations,
-                "fatol": 1e-12,
-                "xatol": 1e-10,
-                "adaptive": True,
-                "initial_simplex": _simplex_around(tracker.best_x, 1e-4),
-            },
-        )
-        if tracker.best_ratio - before < 1e-11:
-            break
+        x = tracker.best_x
     return (
         tracker.best_ratio,
         tracker.best_x,
@@ -227,7 +199,7 @@ def maximize_ratio(
     seed: int = 0,
     jobs: int | None = None,
 ) -> RatioTrace:
-    """Best derivative-mean ratio over ``restarts`` Nelder-Mead runs.
+    """Best derivative-mean ratio over ``restarts`` pattern searches (_one_restart).
 
     Each restart draws its own Gaussian start from (seed, restart), so traces
     are reproducible per seed and independent of how restarts are scheduled;
@@ -238,10 +210,6 @@ def maximize_ratio(
         raise ValueError("class bound must be at least 1")
     if budget < 100:
         raise ValueError("budget below any useful search length")
-    # scipy is loaded here, not at package import, so means and verify never
-    # pay for it; loading it before the pool starts lets forked workers inherit it
-    import scipy.optimize  # noqa: F401
-
     args = [(n, p, budget, seed, r) for r in range(restarts)]
     if jobs is None:
         jobs = min(os.cpu_count() or 1, restarts)

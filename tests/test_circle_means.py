@@ -265,6 +265,17 @@ class TestLogPlus:
         T = sample_polynomial(SampleSpec(16, "roots-mixed", 77, 10), 1)
         assert logplus_integral(T) == pytest.approx(11.497690057981873, abs=1e-10)
 
+    def test_tolerance_below_horner_rounding(self):
+        # T'/16 of a product of unimodular factors: its coefficients are far
+        # above |T'/16| near the clustered zeros, where plain Horner is
+        # rounding noise; the value is mpmath's
+        from bernstein_lab.verify import SampleSpec, sample_polynomial
+
+        T = sample_polynomial(SampleSpec(16, "roots-on-circle", 123, 2), 1)
+        D = T.derivative() * (1.0 / 16)
+        value = logplus_integral(D, QuadratureConfig(rel_tol=1e-14))
+        assert value == pytest.approx(2.3217515570592684441, abs=1e-13)
+
 
 class TestMeanProperties:
     def test_power_mean_monotonicity(self):

@@ -8,7 +8,7 @@ import pytest
 from bernstein_lab import jsonio
 from bernstein_lab.cli import main, parse_p
 from bernstein_lab.polynomials import LaurentPolynomial
-from bernstein_lab.verify import SWEEP_OPTIONS, SampleSpec, run_sweep
+from bernstein_lab.verify import SWEEP_OPTIONS, SampleSpec, run_sweep, sample_polynomial
 
 
 @pytest.fixture
@@ -60,6 +60,19 @@ class TestMeans:
         out = capsys.readouterr().out.strip().splitlines()
         expected = math.sqrt(float(np.sum(np.abs(T.coeffs) ** 2)))
         assert float(out[1].split(",")[1]) == pytest.approx(expected, rel=1e-12)
+
+    def test_high_p_with_large_coefficients(self, tmp_path, capsys):
+        # the largest coefficient is 1.5e5, so its 64th power overflows a float
+        T = sample_polynomial(SampleSpec(16, "roots-mixed", 5, 2), 0)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(T.to_json_dict()))
+        assert main(["means", str(path), "--p", "64,63.5", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        scale = float(np.max(np.abs(T.coeffs)))
+        ratio = np.abs(T.on_grid(1 << 16)) / scale
+        for row, p in zip(rows, (64.0, 63.5)):
+            expected = scale * float(np.mean(ratio**p)) ** (1.0 / p)
+            assert row["value"] == pytest.approx(expected, rel=1e-12)
 
     def test_json_format_roundtrips(self, poly_file, capsys):
         assert main(["means", poly_file, "--p", "2", "--format", "json"]) == 0
@@ -135,7 +148,7 @@ class TestBadPToken:
 
 
 class TestImportBudget:
-    def test_means_and_verify_never_load_scipy(self, poly_file, tmp_path):
+    def test_no_command_loads_scipy(self, poly_file, tmp_path):
         import subprocess
         import sys
 
@@ -149,10 +162,10 @@ for claim in ("thm-1-1", "monotone-p"):
     out = {str(tmp_path)!r} + "/" + claim + ".jsonl"
     argv = ["verify", "--claim", claim, "--n", "3", "--count", "4", "--jobs", "1", "--out", out]
     assert cli.main(argv) == 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 from bernstein_lab.extremal import maximize_ratio
 pooled = maximize_ratio(1, math.inf, restarts=2, budget=300, seed=5, jobs=2)
 serial = maximize_ratio(1, math.inf, restarts=2, budget=300, seed=5, jobs=1)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps({{"scipy": loaded, "same": pooled.to_json_dict() == serial.to_json_dict()}}))
 """
         src = os.path.dirname(os.path.dirname(bernstein_lab.__file__))
