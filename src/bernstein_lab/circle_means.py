@@ -10,7 +10,7 @@ independent route. Every mean carries an error estimate and a method tag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 
 import numpy as np
@@ -56,11 +56,7 @@ class QuadratureConfig:
             raise ValueError("rel_tol must be finite and positive")
 
     def to_json_dict(self) -> dict:
-        return {
-            "start_nodes": self.start_nodes,
-            "max_nodes": self.max_nodes,
-            "rel_tol": self.rel_tol,
-        }
+        return asdict(self)
 
 
 DEFAULT_GRID = QuadratureConfig()

@@ -2,11 +2,11 @@
 
 The objective is M_p(T') / (n M_p(T)) over the real-and-imaginary coefficient
 vector of T, a scale-invariant quantity bounded by 1 with equality attained
-on the monomial class. A compass (axis-aligned pattern) search, restarted
-from random points, needs no gradient, so it works on the p = 0 and p = inf
-objectives, which are non-smooth where zeros cross the circle or maxima tie;
-every function evaluation is recorded so a run doubles as a brute-force
-confirmation that the bound is never exceeded.
+on the monomial class. A compass (axis-aligned pattern) search on the unit
+sphere, one from each random start, needs no gradient, so it works on the
+p = 0 and p = inf objectives, which are non-smooth where zeros cross the
+circle or maxima tie; every function evaluation is recorded so a run doubles
+as a brute-force confirmation that the bound is never exceeded.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ DEGENERATE_MEAN = 1e-12
 # maximize_ratio's defaults, which the CLI's --restarts and --budget share
 DEFAULT_RESTARTS = 8
 DEFAULT_BUDGET = 20000
-# first step of _compass_polish, halved while no axis step improves
+# first step of _compass_polish on the unit sphere, halved while no axis step improves
 _COMPASS_STEP = 0.1
 
 
@@ -121,17 +121,21 @@ class _Tracker:
 
 
 def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int):
-    """Axis-aligned pattern search from x until the budget or step floor.
+    """Axis-aligned pattern search on the unit sphere from x, until the budget or step floor.
 
     Each axis is tried both ways at the current step, an improving direction
     is followed with doubling strides, and the step halves after a sweep
-    with no improvement. Compass steps keep making progress on the
-    non-smooth p = 0 and p = inf objectives, and the extremal family itself
-    is axis-aligned in the coefficient vector (middle coefficients go to
-    zero).
+    with no improvement. The start and every accepted point are normalized:
+    the ratio does not change when T is rescaled, so no value moves, and the
+    step (_COMPASS_STEP down to 1e-9) stays relative to the iterate instead
+    of shrinking against a norm that grows with each move (Kolda, Lewis and
+    Torczon, SIAM Review 45, 2003). Compass steps keep making progress on
+    the non-smooth p = 0 and p = inf objectives, and the extremal family
+    itself is axis-aligned in the coefficient vector (middle coefficients go
+    to zero).
     """
-    fx = tracker(x)
-    best_x = x.copy()
+    best_x = x / np.linalg.norm(x)
+    fx = tracker(best_x)
     dim = x.shape[0]
     step = _COMPASS_STEP
     while tracker.evaluations < budget and step > 1e-9:
@@ -144,7 +148,7 @@ def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int):
                 trial[i] += sign * step
                 ft = tracker(trial)
                 if ft < fx - 1e-16:
-                    best_x, fx = trial, ft
+                    best_x, fx = trial / np.linalg.norm(trial), ft
                     improved = True
                     # ride the improving direction while it keeps paying
                     stride = step
@@ -156,7 +160,7 @@ def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int):
                         trial[i] += sign * stride
                         ft = tracker(trial)
                         if ft < fx - 1e-16:
-                            best_x, fx = trial, ft
+                            best_x, fx = trial / np.linalg.norm(trial), ft
                         else:
                             break
                     break
@@ -165,23 +169,12 @@ def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int):
 
 
 def _one_restart(n: int, p: float, budget: int, seed: int, restart: int):
-    """One random start, then pattern-search rounds from the best point so far.
-
-    Each round is a full _compass_polish, restarted at the first step size;
-    the restart stops when the budget is spent or a round gains less than
-    1e-11 in the ratio.
-    """
+    """One Gaussian start drawn from (seed, restart), then one _compass_polish."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(restart,))
     )
     tracker = _Tracker(n, p)
-    x = rng.normal(size=2 * (2 * n + 1))
-    while tracker.evaluations < budget:
-        before = tracker.best_ratio
-        _compass_polish(tracker, x, budget)
-        if tracker.best_x is None or tracker.best_ratio - before < 1e-11:
-            break
-        x = tracker.best_x
+    _compass_polish(tracker, rng.normal(size=2 * (2 * n + 1)), budget)
     return (
         tracker.best_ratio,
         tracker.best_x,
@@ -204,7 +197,8 @@ def maximize_ratio(
     Each restart draws its own Gaussian start from (seed, restart), so traces
     are reproducible per seed and independent of how restarts are scheduled;
     ``jobs`` > 1 runs them in a process pool. ``budget`` caps function
-    evaluations per restart.
+    evaluations per restart; a search whose step reaches its floor first
+    stops there.
     """
     if n < 1:
         raise ValueError("class bound must be at least 1")

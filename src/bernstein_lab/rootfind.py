@@ -10,8 +10,9 @@ returned as nearby simple roots; every downstream formula is continuous in
 the roots, so clusters are harmless at our tolerances.
 
 Every root set is judged against the stored double-precision coefficients by
-its Weierstrass residual, with P(z_k) evaluated by compensated Horner where
-plain Horner cannot resolve it. Double precision does not always pin the
+its Weierstrass residual, relative to max(1, |z_k|) for each root, with
+P(z_k) evaluated by compensated Horner where plain Horner cannot resolve it.
+Double precision does not always pin the
 zeros: products of many unimodular factors have coefficients five orders
 above |P| on the circle. A solve whose residual stays above MAX_RESIDUAL is
 continued on the same coefficients in extended precision (Bini and
@@ -45,12 +46,15 @@ __all__ = [
 DEFAULT_CIRCLE_EPS = 1e-9
 
 # Largest Weierstrass residual at which a root set, solved or supplied as a
-# hint, is taken as the zeros of the stored coefficients. The residual is
-# about each root's distance to a zero of the stored coefficients, and M_0
-# by the product formula moves by at most the sum of those distances to
-# first order (0.9x the residual in the median of the planted sets
-# measured, 3.1x at most). For degree up to about 100 this keeps
-# root-product means inside the 1e-8 relative verdict tolerance.
+# hint, is taken as the zeros of the stored coefficients. The residual W_k
+# is about root k's distance to a zero of the stored coefficients, and it
+# is divided by max(1, |z_k|): M_0 by the product formula reads
+# log max(1, |z_k|), which moves by at most |W_k| / max(1, |z_k|) to first
+# order, and a zero of modulus 1e9 cannot be pinned to an absolute 1e-10 in
+# double precision. So log M_0 moves by at most the sum of the scaled
+# residuals (0.9x the residual in the median of the planted sets measured,
+# 3.1x at most). For degree up to about 100 this keeps root-product means
+# inside the 1e-8 relative verdict tolerance.
 MAX_RESIDUAL = 1e-10
 # Newton steps at most per root in _newton_polish, and Aberth steps in _refined
 _NEWTON_ITER = 8
@@ -85,7 +89,8 @@ def _horner_bound(c: np.ndarray, z: np.ndarray):
 def _residual_from_values(c: np.ndarray, z: np.ndarray, abs_p: np.ndarray) -> float:
     diff = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(diff, 1.0)
-    logprod = np.sum(np.log(np.maximum(diff, 1e-300)), axis=1)
+    # each root's residual is divided by max(1, |z_k|), see MAX_RESIDUAL
+    logprod = np.sum(np.log(np.maximum(diff, 1e-300)), axis=1) + np.log(np.maximum(np.abs(z), 1.0))
     logres = np.log(np.maximum(abs_p, 1e-300)) - np.log(np.abs(c[-1])) - logprod
     return float(np.exp(np.max(logres)))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -122,17 +122,8 @@ class VerificationReport:
     detail: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "passed": self.passed,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "witness": self.witness,
-            "tolerance_used": self.tolerance_used,
-            "skipped": self.skipped,
-            "detail": self.detail,
-        }
+        # shallow: the witness dicts are serialized as they are, not copied
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _scale(lhs: float, rhs: float) -> float:
@@ -147,50 +138,22 @@ def _worst(reports) -> VerificationReport | None:
     return min(reports, key=lambda r: r.margin / _scale(r.lhs, r.rhs), default=None)
 
 
-def _ineq_report(claim, lhs, rhs, tol, witness, detail="") -> VerificationReport:
-    """Report for a one-sided claim lhs <= rhs."""
-    margin = rhs - lhs
-    passed = margin >= -tol * _scale(lhs, rhs)
-    return VerificationReport(
-        claim=claim,
-        passed=bool(passed),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(margin),
-        witness=witness,
-        tolerance_used=float(tol),
-        detail=detail,
-    )
+def _report(claim, lhs, rhs, margin, tol, witness, detail="", passed=None) -> VerificationReport:
+    """The report of one check; passed is margin >= -tol * _scale(lhs, rhs) unless given.
 
-
-def _eq_report(claim, lhs, rhs, tol, witness, detail="") -> VerificationReport:
-    """Report for a two-sided claim lhs == rhs; margin is -|lhs - rhs|."""
-    margin = -abs(rhs - lhs)
-    passed = margin >= -tol * _scale(lhs, rhs)
+    One-sided claims lhs <= rhs pass the margin rhs - lhs, equalities
+    -|lhs - rhs|.
+    """
+    if passed is None:
+        passed = margin >= -tol * _scale(lhs, rhs)
     return VerificationReport(
-        claim=claim,
-        passed=bool(passed),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(margin),
-        witness=witness,
-        tolerance_used=float(tol),
+        claim, bool(passed), float(lhs), float(rhs), float(margin), witness, float(tol),
         detail=detail,
     )
 
 
 def _skip_report(claim, tol, witness, detail) -> VerificationReport:
-    return VerificationReport(
-        claim=claim,
-        passed=True,
-        lhs=0.0,
-        rhs=0.0,
-        margin=0.0,
-        witness=witness,
-        tolerance_used=float(tol),
-        skipped=True,
-        detail=detail,
-    )
+    return replace(_report(claim, 0.0, 0.0, 0.0, tol, witness, detail), skipped=True)
 
 
 def _witness(T: LaurentPolynomial, **params) -> dict:
@@ -315,14 +278,15 @@ def check_bernstein(
         rhs_j = n * mahler_from_roots(rT).value
         lhs_q = mean_0_quadrature(dT, rdT, grid).value
         rhs_q = n * mean_0_quadrature(T, rT, grid).value
-        rep_j = _ineq_report(claim, lhs_j, rhs_j, tol, _witness(T, p=0.0), "jensen-product")
-        rep_q = _ineq_report(claim, lhs_q, rhs_q, tol, _witness(T, p=0.0), "quadrature")
+        witness = _witness(T, p=0.0)
+        rep_j = _report(claim, lhs_j, rhs_j, rhs_j - lhs_j, tol, witness, "jensen-product")
+        rep_q = _report(claim, lhs_q, rhs_q, rhs_q - lhs_q, tol, witness, "quadrature")
         worse = _worst((rep_j, rep_q))
         return replace(worse, detail=f"worse of both routes ({worse.detail})")
     lhs = mean(dT, p, grid, roots_hint=droots_hint).value
     rhs = n * mean(T, p, grid, roots_hint=roots_hint).value
     witness = _witness(T, p="inf" if math.isinf(p) else float(p))
-    return _ineq_report(claim, lhs, rhs, tol, witness)
+    return _report(claim, lhs, rhs, rhs - lhs, tol, witness)
 
 
 def check_equality_case(
@@ -347,9 +311,12 @@ def check_equality_case(
     m0 = mahler_from_roots(R).value
     dT = T.derivative()
     m0d = 0.0 if dT.is_zero() else mean(dT, 0.0).value
-    rep1 = _eq_report("equality-case", m0, a_n, tol, _witness(T), "M_0(T) vs |a_n|")
-    rep2 = _eq_report(
-        "equality-case", m0d, n * a_n, tol, _witness(T), "M_0(T') vs n|a_n|"
+    rep1 = _report(
+        "equality-case", m0, a_n, -abs(a_n - m0), tol, _witness(T), "M_0(T) vs |a_n|"
+    )
+    rep2 = _report(
+        "equality-case", m0d, n * a_n, -abs(n * a_n - m0d), tol, _witness(T),
+        "M_0(T') vs n|a_n|",
     )
     return _worst((rep1, rep2))
 
@@ -373,11 +340,13 @@ def check_lemma_2_1(
         )
     dS = S.derivative()
     if dS.is_zero():
-        return _ineq_report("lemma-2-1", 0.0, 1.0, eps, _witness(S), "derivative is constant zero")
+        return _report(
+            "lemma-2-1", 0.0, 1.0, 1.0, eps, _witness(S), "derivative is constant zero"
+        )
     rd = roots(dS.to_algebraic())
     nonzero = rd.roots[rd.roots != 0]
     max_mod = float(np.max(np.abs(nonzero))) if nonzero.size else 0.0
-    return _ineq_report("lemma-2-1", max_mod, 1.0, eps, _witness(S))
+    return _report("lemma-2-1", max_mod, 1.0, 1.0 - max_mod, eps, _witness(S))
 
 
 def check_lemma_2_2(
@@ -408,13 +377,9 @@ def check_lemma_2_2(
     abs_dt = np.abs(T.derivative().on_grid(points))
     abs_dv = np.abs(V.derivative().on_grid(points))
     k = int(np.argmin(abs_dv - abs_dt))
-    return _ineq_report(
-        "lemma-2-2",
-        float(abs_dt[k]),
-        float(abs_dv[k]),
-        tol,
-        _witness(T, worst_angle=2.0 * np.pi * k / points),
-    )
+    lhs, rhs = float(abs_dt[k]), float(abs_dv[k])
+    witness = _witness(T, worst_angle=2.0 * np.pi * k / points)
+    return _report("lemma-2-2", lhs, rhs, rhs - lhs, tol, witness)
 
 
 def _w_grid() -> np.ndarray:
@@ -449,7 +414,7 @@ def check_theorem_1_2(
     else:
         lhs = logplus_integral(dT_over_n, grid)
     rhs = logplus_integral(T, grid)
-    rep = _ineq_report("thm-1-2", lhs, rhs, tol, _witness(T))
+    rep = _report("thm-1-2", lhs, rhs, rhs - lhs, tol, _witness(T))
     if not fubini or n == 0:
         return rep
     ws = _w_grid()
@@ -488,7 +453,7 @@ def check_monotone_p(
     values = [res.value for res in means(T, ladder, grid, roots_hint=roots_hint)]
     labels = [f"{q:g}" for q in ladder]
     return _worst(
-        _ineq_report("monotone-p", a, b, tol, _witness(T, step=f"p={la} vs p={lb}"))
+        _report("monotone-p", a, b, b - a, tol, _witness(T, step=f"p={la} vs p={lb}"))
         for (a, la), (b, lb) in zip(zip(values, labels), zip(values[1:], labels[1:]))
     )
 
@@ -505,31 +470,16 @@ def _check_identity_3_1(spec: SampleSpec, index: int) -> VerificationReport:
     tol = 1e-4 if abs(abs(v) - 1.0) < 1e-3 else 1e-8
     witness = {"v": [float(v.real), float(v.imag)], "params": {}}
     # absolute comparison: the identity is additive, not homogeneous
-    margin = -abs(lhs - rhs)
-    return VerificationReport(
-        claim="identity-3-1",
-        passed=bool(abs(lhs - rhs) <= tol),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(margin),
-        witness=witness,
-        tolerance_used=tol,
-    )
+    gap = abs(lhs - rhs)
+    return _report("identity-3-1", lhs, rhs, -gap, tol, witness, passed=gap <= tol)
 
 
 def _check_identity_3_2(u: float, p: float, tol: float = 1e-8) -> VerificationReport:
     lhs = mu_moment(u, p)
     rhs = u**p
-    margin = -abs(lhs / rhs - 1.0)
-    return VerificationReport(
-        claim="identity-3-2",
-        passed=bool(abs(lhs / rhs - 1.0) <= tol),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(margin),
-        witness={"u": float(u), "p": float(p), "params": {}},
-        tolerance_used=tol,
-    )
+    gap = abs(lhs / rhs - 1.0)
+    witness = {"u": float(u), "p": float(p), "params": {}}
+    return _report("identity-3-2", lhs, rhs, -gap, tol, witness, passed=gap <= tol)
 
 
 # ---------------------------------------------------------------------------

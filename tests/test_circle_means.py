@@ -181,6 +181,23 @@ class TestMeanDispatch:
         assert mean_p(T, 0.5, roots_hint=wrong) == exact
 
 
+class TestSmallTopCoefficient:
+    """A tiny top coefficient puts a zero of z^n T near 1e9, where no root
+    set meets an absolute residual of 1e-10 in double precision."""
+
+    @pytest.mark.parametrize(
+        "T",
+        [
+            LaurentPolynomial(1, [1, 0.5, 1e-9]),
+            LaurentPolynomial(2, [1, 0, 0, 0.3, 1e-10]),
+        ],
+    )
+    def test_geometric_mean_is_one(self, T):
+        m0, m_half = means(T, [0.0, 0.5])
+        assert m0.value == pytest.approx(1.0, abs=1e-14)
+        assert m_half.value > 0.0
+
+
 class TestSharedLadder:
     """``means`` runs every finite p through one trapezoid pass; each value
     must be bitwise the one mean_p gives for that p alone."""

@@ -330,6 +330,17 @@ class TestExtremalCommand:
         assert payload["trace"]["best_ratio"] >= 0.99
         assert payload["config"]["params"]["n"] == 1
 
+    def test_fractional_p_search_reaches_the_bound(self, tmp_path, capsys):
+        # the search converges toward z^-n, whose top coefficient is near
+        # zero; its root solves must still meet the residual rule
+        out = str(tmp_path / "trace.json")
+        rc = main([
+            "extremal", "--n", "3", "--p", "0.5", "--restarts", "2",
+            "--budget", "3000", "--seed", "1", "--jobs", "1", "--out", out,
+        ])
+        assert rc == 0
+        assert json.loads(open(out).read())["trace"]["best_ratio"] >= 0.999
+
     def test_unreachable_threshold_exits_one(self, capsys):
         rc = main(["extremal", "--n", "1", "--p", "2", "--threshold", "1.0001"])
         assert rc == 1

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from bernstein_lab.circle_means import mean_inf
-from bernstein_lab.extremal import RatioTrace, bernstein_ratio, maximize_ratio
+from bernstein_lab.extremal import (
+    RatioTrace,
+    _compass_polish,
+    _Tracker,
+    bernstein_ratio,
+    maximize_ratio,
+)
 from bernstein_lab.polynomials import LaurentPolynomial
 
 
@@ -57,6 +63,14 @@ class TestMaximize:
         assert a.best_ratio == b.best_ratio
         assert a.history == b.history
 
+    def test_sup_search_converges_before_its_budget(self):
+        # steps relative to the iterate halve down to the floor instead of
+        # creeping on a point whose norm grows with every move
+        trace = maximize_ratio(1, math.inf, restarts=8, budget=20000, seed=20260419, jobs=2)
+        assert trace.iterations < 20000
+        assert trace.best_ratio >= 1.0 - 1e-12
+        assert trace.anomaly_count == 0
+
     def test_budget_floor(self):
         with pytest.raises(ValueError):
             maximize_ratio(1, 2.0, restarts=1, budget=10, seed=0)
@@ -73,3 +87,17 @@ class TestMaximize:
         obj = trace.to_json_dict()
         assert len(obj["history"]) <= 200
         assert obj["p"] == 2.0
+
+
+class TestCompassPolish:
+    def test_scale_of_the_start_does_not_matter(self):
+        # the ratio is scale-invariant and the search runs on the unit
+        # sphere; scaling by a power of two is exact, so the runs agree bitwise
+        x = np.random.default_rng(12).normal(size=10)
+        histories = []
+        for start in (x, 1024.0 * x):
+            tracker = _Tracker(2, 2.0)
+            _compass_polish(tracker, start, 3000)
+            histories.append(tracker.history)
+        assert histories[0] == histories[1]
+        assert len(histories[0]) > 10
