@@ -7,8 +7,9 @@ Two engines cover every integrand shape the package meets:
 * adaptive Gauss-Legendre panels (adaptive_gl), bisected where an
   order-halved rule disagrees, for integrands with kinks or integrable
   singularities at or near known points. singular_circle_mean feeds it
-  panels graded geometrically into singular angles (log-type or |t|^alpha);
-  a piecewise-smooth integrand gets its kinks as panel ends.
+  panels that graded_edges grades geometrically into singular angles
+  (log-type or |t|^alpha), down to slivers 256 ulps wide; a
+  piecewise-smooth integrand gets its kinks as panel ends.
 
 All functions take vectorized callables: f(ndarray of angles) -> ndarray.
 """
@@ -34,9 +35,8 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 # graded_edges: each subpanel toward a singular end is this fraction of the
-# one before, down to a relative width of _GRADING_FLOOR.
+# one before, down to a sliver of at most 256 ulps of the endpoint scale.
 _GRADING_RATIO = 0.3
-_GRADING_FLOOR = 1e-15
 # Gauss-Legendre order of adaptive_gl's panels, checked against half this order.
 _PANEL_ORDER = 16
 # Refinement limits of adaptive_gl. Panels below this width are, in
@@ -126,46 +126,34 @@ def periodic_mean_doubling(
     return raw, prev, err, n
 
 
-def graded_edges(
-    a: float,
-    b: float,
-    singular_left: bool,
-    singular_right: bool,
-    max_width: float,
-) -> np.ndarray:
-    """Subpanel edges over [a, b], grading geometrically into singular ends.
+def graded_edges(a: float, b: float, max_width: float) -> np.ndarray:
+    """Subpanel edges over [a, b], grading geometrically into both ends.
 
-    The innermost sliver at a singular end has relative width _GRADING_FLOOR;
-    with an integrable endpoint singularity its Gauss-Legendre value is
-    accurate enough that nothing needs to be dropped.
+    Each half [lo, hi] grades toward its end of the panel by _GRADING_RATIO
+    down to an innermost sliver of 0.3 to 1 times 256 ulps of its endpoint
+    scale max(|lo|, |hi|, 1): wide enough that Gauss nodes cannot round onto
+    the end, and with an integrable endpoint singularity its Gauss-Legendre
+    value is accurate enough that nothing needs to be dropped. Every subpanel
+    is then split into equal pieces at most max_width wide, so
+    oscillatory-but-smooth stretches stay resolved.
     """
     if b <= a:
         raise ValueError("empty panel")
-    if singular_left and singular_right:
-        mid = 0.5 * (a + b)
-        left = graded_edges(a, mid, True, False, max_width)
-        right = graded_edges(mid, b, False, True, max_width)
-        return np.concatenate([left, right[1:]])
-    if singular_right:
-        rev = graded_edges(a, b, True, False, max_width)
-        return (a + b - rev)[::-1]
-    if singular_left:
-        h = b - a
-        # keep the innermost sliver wide enough (in ulps of the endpoint
-        # scale) that Gauss nodes cannot round onto the singular endpoint
-        scale = max(abs(a), abs(b), 1.0)
-        floor = max(_GRADING_FLOOR, 256.0 * np.finfo(float).eps * scale / h)
-        levels = max(int(np.ceil(np.log(floor) / np.log(_GRADING_RATIO))), 1)
-        offsets = h * _GRADING_RATIO ** np.arange(levels, -1, -1)
-        edges = np.concatenate([[a], a + offsets])
-    else:
-        edges = np.array([a, b])
-    # cap subpanel widths so oscillatory-but-smooth stretches stay resolved
-    out = [edges[0]]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pieces = max(1, int(np.ceil((hi - lo) / max_width)))
-        out.extend(lo + (hi - lo) * np.arange(1, pieces + 1) / pieces)
-    return np.asarray(out)
+    mid = 0.5 * (a + b)
+    halves = []
+    # both halves grade toward lo; the right one is mirrored, less its midpoint
+    for lo, hi in ((a, mid), (mid, b)):
+        h = hi - lo
+        sliver = 256.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0) / h
+        levels = max(int(np.ceil(np.log(sliver) / np.log(_GRADING_RATIO))), 1)
+        edges = np.concatenate([[lo], lo + h * _GRADING_RATIO ** np.arange(levels, -1, -1)])
+        width = np.diff(edges)
+        pieces = np.maximum(np.ceil(width / max_width), 1).astype(int)
+        sub = np.repeat(np.arange(width.shape[0]), pieces)
+        k = np.arange(1, sub.shape[0] + 1) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        halves.append(np.concatenate([[lo], edges[:-1][sub] + width[sub] * k / pieces[sub]]))
+    left, right = halves
+    return np.concatenate([left, (mid + b - right)[-2::-1]])
 
 
 def integrate_edges(f, edges: np.ndarray, order: int = 16) -> float:
@@ -241,9 +229,10 @@ def singular_circle_mean(
 ):
     """Mean of f over [0, 2pi) with panels graded into each angle in ``angles``.
 
-    The circle is split at the given (singular) angles; every panel grades
-    geometrically into both of its endpoints and is capped so smooth stretches
-    stay resolved for integrands oscillating on the scale of the given degree.
+    The circle is split at the given (singular) angles into panels that
+    graded_edges grades into both of their ends, with subpanels at most
+    min(0.5, pi / (degree + 2)) wide so smooth stretches stay resolved for
+    integrands oscillating on the scale of the given degree.
     The panels are refined by adaptive_gl until the estimate meets ``rel_tol``
     on the mean (absolute when ``absolute``, relative to it otherwise).
     Returns (mean, err_estimate).
@@ -257,7 +246,7 @@ def singular_circle_mean(
     brk = np.concatenate([a, [a[0] + TWO_PI]])
     max_width = min(0.5, np.pi / (oscillation_degree + 2))
     pieces = [
-        graded_edges(lo, hi, True, True, max_width)
+        graded_edges(lo, hi, max_width)
         for lo, hi in zip(brk[:-1], brk[1:])
         if hi > lo
     ]

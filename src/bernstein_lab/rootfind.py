@@ -15,9 +15,10 @@ P(z_k) evaluated by compensated Horner where plain Horner cannot resolve it.
 Double precision does not always pin the
 zeros: products of many unimodular factors have coefficients five orders
 above |P| on the circle. A solve whose residual stays above MAX_RESIDUAL is
-continued on the same coefficients in extended precision (Bini and
-Fiorentino, Numer. Algorithms 23, 2000): Aberth steps on compensated-Horner
-values first, mpmath at _ESCALATION_DPS digits if those miss too.
+redone on the same coefficients in extended precision (Bini and Fiorentino,
+Numer. Algorithms 23, 2000): Aberth steps on compensated-Horner values from
+the eigenvalues first, since the polish can move two iterates onto one zero,
+and mpmath at _ESCALATION_DPS digits if those miss too.
 NumericFailure is raised only when the mpmath solve fails as well.
 Generative root sets (planted zeros) go through ``checked_roots``, which holds
 them to the same rule, refining them by the same extended-precision steps
@@ -173,7 +174,7 @@ def _refined(c: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _escalated(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Zeros of c in extended precision, starting from the double-precision iterate z.
+    """Zeros of c in extended precision, starting from the companion eigenvalues z.
 
     First _refined steps from z. If their residual still misses MAX_RESIDUAL,
     mpmath.polyroots solves c anew at _ESCALATION_DPS digits, about a
@@ -220,8 +221,8 @@ def roots(P: AlgebraicPolynomial) -> RootSet:
     steps down to the rounding level (see _newton_polish). When they have a
     Weierstrass residual above MAX_RESIDUAL against the stored coefficients,
     the same coefficients are solved again in extended precision: Aberth
-    steps on compensated-Horner values, then, if those still miss,
-    mpmath.polyroots. NumericFailure is raised when the
+    steps on compensated-Horner values from the unpolished eigenvalues, then,
+    if those still miss, mpmath.polyroots. NumericFailure is raised when the
     eigenvalue solve fails, or when the mpmath solve does not converge or its
     roots, rounded to double, still miss MAX_RESIDUAL.
     """
@@ -237,13 +238,14 @@ def roots(P: AlgebraicPolynomial) -> RootSet:
     if c.shape[0] > 1:
         scaled = _scaled(c)
         try:
-            found, values = _newton_polish(scaled, np.roots(scaled[::-1]))
+            eigenvalues = np.roots(scaled[::-1])
         except np.linalg.LinAlgError as exc:
             raise NumericFailure(
                 f"companion eigenvalues failed at degree {c.shape[0] - 1}"
             ) from exc
+        found, values = _newton_polish(scaled, eigenvalues)
         if not _residual_within(scaled, found, MAX_RESIDUAL, values)[0]:
-            found = _escalated(scaled, found)
+            found = _escalated(scaled, eigenvalues)
     all_roots = np.concatenate([np.zeros(origin_mult, dtype=complex), found])
     return RootSet(leading=leading, roots=all_roots, degree_deficit=deficit)
 

@@ -34,19 +34,40 @@ class TestPeriodicDoubling:
 class TestGradedPanels:
     def test_log_singularity_at_endpoint(self):
         # int_0^1 log(x) dx = -1
-        edges = quad.graded_edges(0.0, 1.0, True, False, max_width=0.5)
+        edges = quad.graded_edges(0.0, 1.0, max_width=0.5)
         value = quad.integrate_edges(lambda x: np.log(x), edges)
         assert value == pytest.approx(-1.0, abs=1e-12)
 
     def test_both_ends_singular(self):
         # int_0^1 log(x(1-x)) dx = -2
-        edges = quad.graded_edges(0.0, 1.0, True, True, max_width=0.5)
+        edges = quad.graded_edges(0.0, 1.0, max_width=0.5)
         value = quad.integrate_edges(lambda x: np.log(x * (1.0 - x)), edges)
         assert value == pytest.approx(-2.0, abs=1e-12)
 
     def test_width_cap(self):
-        edges = quad.graded_edges(0.0, 4.0, False, False, max_width=0.5)
+        edges = quad.graded_edges(0.0, 4.0, max_width=0.5)
         assert np.max(np.diff(edges)) <= 0.5 + 1e-15
+
+    def test_mesh_shape_on_circle_panels(self):
+        # increasing edges, widths capped, and at each end an innermost sliver
+        # of 0.3 x to 1 x 256 ulps of the scale of that end's half-panel
+        rng = np.random.default_rng(5)
+        ends = rng.uniform(0.0, quad.TWO_PI, (200, 2))
+        panels = [tuple(np.sort(e)) for e in ends if abs(e[1] - e[0]) >= 1e-6]
+        panels += [(0.0, 1e-6), (0.0, 0.7), (3.0, quad.TWO_PI), (quad.TWO_PI - 1e-6, quad.TWO_PI)]
+        panels += [(0.0, quad.TWO_PI), (1.0, 1.0 + 1e-6)]
+        for a, b in panels:
+            for w in (0.5, np.pi / 18, np.pi / 66):
+                edges = quad.graded_edges(a, b, w)
+                widths = np.diff(edges)
+                assert np.all(widths > 0)
+                assert np.max(widths) <= w * (1 + 1e-12)
+                eps = np.finfo(float).eps
+                slack = 4 * eps * max(abs(a), abs(b), 1.0)
+                mid = 0.5 * (a + b)
+                for sliver, end in ((widths[0], a), (widths[-1], b)):
+                    ulp = eps * max(abs(end), abs(mid), 1.0)
+                    assert 0.3 * 256 * ulp - slack <= sliver <= 256 * ulp + slack
 
 
 class TestAdaptiveGL:

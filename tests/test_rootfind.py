@@ -169,6 +169,23 @@ class TestNewtonPolish:
         assert match_distance(R.roots, zs) < 1e-12
         assert 1 <= len(passes) <= 3
 
+    def test_escalation_starts_from_the_eigenvalues(self, monkeypatch):
+        # Newton polish can move two iterates onto one zero of this z^32 T,
+        # which Aberth steps from the polished set cannot separate again
+        mpmath = pytest.importorskip("mpmath")
+        from bernstein_lab import rootfind
+        from bernstein_lab.verify import SampleSpec, sample_polynomial
+
+        def no_mpmath(*args, **kwargs):
+            raise AssertionError("the solve reached mpmath.polyroots")
+
+        monkeypatch.setattr(mpmath, "polyroots", no_mpmath)
+        P = sample_polynomial(SampleSpec(32, "roots-in-disk", 4242, 60), 11).to_algebraic()
+        R = roots(P)
+        assert len(R) == 64
+        c = rootfind._scaled(P.normalized()[0].coeffs)
+        assert rootfind._residual_within(c, R.roots, rootfind.MAX_RESIDUAL)[0]
+
     def test_mahler_measure_matches_mpmath_polyroots(self):
         mpmath = pytest.importorskip("mpmath")
         from bernstein_lab.circle_means import mahler_from_roots
