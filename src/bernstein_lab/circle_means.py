@@ -37,6 +37,7 @@ __all__ = [
 NEAR_CIRCLE_THRESHOLD = 1e-3
 
 TWO_PI = 2.0 * np.pi
+_SUP_PASSES = 6  # Newton passes per sampled peak of mean_inf at most
 
 
 @dataclass(frozen=True)
@@ -252,43 +253,48 @@ def mean_p(
 
 
 def mean_inf(T: LaurentPolynomial) -> MeanResult:
-    """Sup of |T| on the circle: 16 samples per coefficient, then Newton polish.
+    """Sup of |T| on the circle: the one-row case of _sups, which takes a stack of rows.
 
-    Every local maximum of the samples (not only the best one, so near-tied
-    peaks cannot shadow the true max) is polished by Newton on d|T|^2/dt,
-    quadratically convergent since |T|^2 on the circle is a trigonometric
-    polynomial. Every value taken is a true pointwise value. err_estimate is
-    sum |j a_j|, a bound on |dT/dt|, times the largest final Newton step.
+    The rows of one class share 16 samples per coefficient and one stacked
+    Horner pass. Every local maximum of the samples (so near-tied peaks cannot
+    shadow the true max) is polished by Newton on d|T|^2/dt, quadratic since
+    |T|^2 on the circle is a trigonometric polynomial: one loop takes the
+    peaks of every row, reading u, u' and u'' by one einsum over exp(i j t),
+    until the largest step is below the rounding level of t or after
+    _SUP_PASSES. err_estimate is sum |j a_j| (a bound on |dT/dt|) times the
+    last step of any peak that could still rise past the value, plus the
+    rounding of Horner or of the polish, 2 (2n + 1) u sum |a_j|. Zero gives 0.
     """
-    if T.is_zero():
-        return MeanResult(p=math.inf, value=0.0, err_estimate=0.0, method="sampled-max")
-    n = T.n
-    j = np.arange(-n, n + 1)
-    # angular-derivative series: u = T(e^{it}), u' = sum (ij) a_j e^{ijt}, ...
-    stack = np.vstack([T.coeffs, 1j * j * T.coeffs, -(j * j) * T.coeffs])
+    (value,), (err,) = _sups(T.coeffs[None])
+    return MeanResult(p=math.inf, value=float(value), err_estimate=float(err), method="sampled-max")
 
-    def u_series(t, rows=stack):
-        z = np.exp(1j * t)
-        return horner_laurent(rows, z, np.conj(z))
 
-    samples = max(16 * (2 * n + 1), 64)
+def _sups(rows) -> tuple[np.ndarray, np.ndarray]:
+    """mean_inf's value and err_estimate for each coefficient row of a stack of one class."""
+    j = np.arange(rows.shape[1]) - rows.shape[1] // 2
+    samples = max(16 * rows.shape[1], 64)
     t = TWO_PI * np.arange(samples) / samples
-    g = np.abs(u_series(t, T.coeffs))
-    peak = (g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
-    h = TWO_PI / samples
-    best = float(np.max(g))
-    tk = t[peak]
-    lo, hi = tk - h, tk + h
-    for _ in range(6):
-        u, du, ddu = u_series(tk)
-        g1 = 2.0 * np.real(np.conj(u) * du)
-        g2 = 2.0 * (np.abs(du) ** 2 + np.real(np.conj(u) * ddu))
-        step = np.where(g2 < 0.0, g1 / np.where(g2 < 0.0, g2, -1.0), 0.0)
-        tk = np.clip(tk - step, lo, hi)
-        best = max(best, float(np.max(np.abs(u))))
-    best = max(best, float(np.max(np.abs(u_series(tk, T.coeffs)))))
-    err = float(np.sum(np.abs(j * T.coeffs))) * float(np.max(np.abs(step)))
-    return MeanResult(p=math.inf, value=best, err_estimate=err, method="sampled-max")
+    z = np.exp(1j * t)
+    g = np.abs(horner_laurent(rows, z, np.conj(z)))
+    wrap = np.concatenate([g[:, -1:], g, g[:, :1]], axis=1)
+    row, k = np.nonzero((g >= wrap[:, :-2]) & (g >= wrap[:, 2:]))
+    series = np.stack([rows, 1j * j * rows, -(j * j) * rows], axis=1)[row]
+    tk = t[k]
+    lo, hi = tk - TWO_PI / samples, tk + TWO_PI / samples
+    best = g.max(axis=1)
+    for _ in range(_SUP_PASSES):
+        u, du, ddu = np.einsum("kj,kdj->dk", np.exp(1j * (tk[:, None] * j)), series)
+        np.maximum.at(best, row, np.abs(u))
+        g1 = np.real(np.conj(u) * du)
+        g2 = np.abs(du) ** 2 + np.real(np.conj(u) * ddu)
+        step = np.divide(g1, g2, out=np.zeros_like(g1), where=g2 < 0.0)  # where concave
+        if np.abs(step).max() <= np.spacing(TWO_PI):
+            break
+        tk = np.minimum(np.maximum(tk - step, lo), hi)
+    # a peak whose step has not settled may still rise by up to |dT/dt| times it
+    reach = best.copy()
+    np.maximum.at(reach, row, np.abs(u) + np.abs(j * rows).sum(axis=1)[row] * np.abs(step))
+    return best, reach - best + 2.0**-52 * rows.shape[1] * np.abs(rows).sum(axis=1)
 
 
 def mean(

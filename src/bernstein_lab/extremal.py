@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle_means import mean
+from .circle_means import _sups, mean
 from .errors import NumericFailure
 from .polynomials import LaurentPolynomial
 
@@ -62,10 +62,11 @@ class RatioTrace:
 
 
 def bernstein_ratio(T: LaurentPolynomial, p: float) -> float:
-    """M_p(T') / (n M_p(T)), each mean by circle_means.mean.
+    """M_p(T') / (n M_p(T)), the search's inner loop; each mean as circle_means.mean gives it.
 
-    p = 2 uses the coefficient sums directly (the circle mean of |T|^2 is the
-    coefficient power sum); this is the search's inner loop.
+    p = 2 reads the coefficient power sums (Parseval). At p = inf, T and T'
+    are two rows of class n + 1 in one call of mean_inf's engine, sharing the
+    grid, the Horner sample and the Newton loop; a constant T gives 0.
     Returns -1.0 for degenerate inputs (mean below the guard threshold).
     """
     n = T.n
@@ -77,12 +78,14 @@ def bernstein_ratio(T: LaurentPolynomial, p: float) -> float:
     if p == 2.0:
         num = math.sqrt(float(np.sum(np.abs(dT.coeffs) ** 2)))
         den = math.sqrt(float(np.sum(np.abs(T.coeffs) ** 2)))
+    elif math.isinf(p):
+        (den, num), _ = _sups(np.array([np.concatenate([[0], T.coeffs, [0]]), dT.coeffs]))
     else:
         den = mean(T, p).value
         num = 0.0 if dT.is_zero() else mean(dT, p).value
     if den < DEGENERATE_MEAN:
         return -1.0
-    return num / (n * den)
+    return float(num / (n * den))
 
 
 def _coeffs_from_vector(x: np.ndarray, n: int) -> LaurentPolynomial:
@@ -121,29 +124,29 @@ class _Tracker:
 
 
 def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int):
-    """Axis-aligned pattern search on the unit sphere from x, until the budget or step floor.
+    """Axis-aligned pattern search on the unit sphere from x, in at most ``budget`` evaluations.
 
     Each axis is tried both ways at the current step, an improving direction
     is followed with doubling strides, and the step halves after a sweep
-    with no improvement. The start and every accepted point are normalized:
-    the ratio does not change when T is rescaled, so no value moves, and the
-    step (_COMPASS_STEP down to 1e-9) stays relative to the iterate instead
-    of shrinking against a norm that grows with each move (Kolda, Lewis and
-    Torczon, SIAM Review 45, 2003). Compass steps keep making progress on
-    the non-smooth p = 0 and p = inf objectives, and the extremal family
-    itself is axis-aligned in the coefficient vector (middle coefficients go
-    to zero).
+    with no improvement; the budget is checked before every evaluation. The
+    start and every accepted point are normalized: the ratio does not change
+    when T is rescaled, so no value moves, and the step (_COMPASS_STEP down
+    to 1e-9) stays relative to the iterate instead of shrinking against a
+    norm that grows with each move (Kolda, Lewis and Torczon, SIAM Review 45,
+    2003). Compass steps keep making progress on the non-smooth p = 0 and
+    p = inf objectives, and the extremal family itself is axis-aligned in the
+    coefficient vector (middle coefficients go to zero).
     """
     best_x = x / np.linalg.norm(x)
     fx = tracker(best_x)
     dim = x.shape[0]
     step = _COMPASS_STEP
-    while tracker.evaluations < budget and step > 1e-9:
+    while step > 1e-9:
         improved = False
         for i in range(dim):
-            if tracker.evaluations >= budget:
-                break
             for sign in (1.0, -1.0):
+                if tracker.evaluations >= budget:
+                    return
                 trial = best_x.copy()
                 trial[i] += sign * step
                 ft = tracker(trial)
@@ -154,7 +157,7 @@ def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int):
                     stride = step
                     for _ in range(10):
                         if tracker.evaluations >= budget:
-                            break
+                            return
                         stride *= 2.0
                         trial = best_x.copy()
                         trial[i] += sign * stride

@@ -17,6 +17,7 @@ from bernstein_lab.polynomials import (
     LaurentPolynomial,
     RootSet,
     from_roots,
+    horner_laurent,
     laurent_from_algebraic,
 )
 from bernstein_lab.rootfind import roots
@@ -160,6 +161,69 @@ class TestMeanInf:
         res = mean_inf(T)
         assert res.value + res.err_estimate >= dense
         assert res.value <= dense + 1e-8 * dense
+
+
+def six_pass_mean_inf(T):
+    """(value, err_estimate) of the sup routine that preceded the stacked engine, as reference.
+
+    Its own grid, Horner at every Newton pass, six fixed passes, and an
+    err_estimate of sum |j a_j| times the largest last step, without a
+    rounding term.
+    """
+    if T.is_zero():
+        return 0.0, 0.0
+    n = T.n
+    j = np.arange(-n, n + 1)
+    stack = np.vstack([T.coeffs, 1j * j * T.coeffs, -(j * j) * T.coeffs])
+
+    def u_series(t, rows=stack):
+        z = np.exp(1j * t)
+        return horner_laurent(rows, z, np.conj(z))
+
+    samples = max(16 * (2 * n + 1), 64)
+    t = 2 * np.pi * np.arange(samples) / samples
+    g = np.abs(u_series(t, T.coeffs))
+    peak = (g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
+    h = 2 * np.pi / samples
+    best = float(np.max(g))
+    tk = t[peak]
+    lo, hi = tk - h, tk + h
+    for _ in range(6):
+        u, du, ddu = u_series(tk)
+        g1 = 2.0 * np.real(np.conj(u) * du)
+        g2 = 2.0 * (np.abs(du) ** 2 + np.real(np.conj(u) * ddu))
+        step = np.where(g2 < 0.0, g1 / np.where(g2 < 0.0, g2, -1.0), 0.0)
+        tk = np.clip(tk - step, lo, hi)
+        best = max(best, float(np.max(np.abs(u))))
+    best = max(best, float(np.max(np.abs(u_series(tk, T.coeffs)))))
+    return best, float(np.sum(np.abs(j * T.coeffs))) * float(np.max(np.abs(step)))
+
+
+class TestStackedSup:
+    def test_agrees_with_the_six_pass_routine(self, sup_corpus):
+        polys, monomials = sup_corpus
+        for T in polys + monomials:
+            old_value, old_err = six_pass_mean_inf(T)
+            res = mean_inf(T)
+            rounding = 4 * 2.0**-53 * float(np.sum(np.abs(T.coeffs)))
+            assert abs(res.value - old_value) <= max(old_err, res.err_estimate) + rounding
+
+    def test_at_or_above_every_grid_sample(self, sup_corpus):
+        polys, monomials = sup_corpus
+        t = 2 * np.pi * np.arange(1 << 12) / (1 << 12)
+        for T in polys:
+            assert mean_inf(T).value >= np.max(np.abs(T.on_circle(t)))
+        # |T| is flat on a monomial, so the grid's largest sample is Horner's
+        # rounding above |c|, which err_estimate covers
+        for T in monomials:
+            res = mean_inf(T)
+            assert res.value + res.err_estimate >= np.max(np.abs(T.on_circle(t)))
+
+    def test_polish_converges(self):
+        rng = np.random.default_rng(5)
+        for _ in range(400):
+            res = mean_inf(LaurentPolynomial(4, rng.normal(size=9) + 1j * rng.normal(size=9)))
+            assert res.err_estimate <= 1e-12 * res.value
 
 
 class TestMeanDispatch:

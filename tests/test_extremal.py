@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bernstein_lab.circle_means import mean_inf
+from bernstein_lab.circle_means import _sups, mean_inf
 from bernstein_lab.extremal import (
     RatioTrace,
     _compass_polish,
@@ -46,6 +46,29 @@ class TestRatio:
         assert mine <= dense + 1e-8 * dense
 
 
+class TestSupRatio:
+    def test_one_stacked_pass_matches_the_two_sups(self, sup_corpus):
+        polys, monomials = sup_corpus
+        for T in polys + monomials:
+            dT = T.derivative()
+            num, den = mean_inf(dT), mean_inf(T)
+            (v_T, v_dT), (e_T, e_dT) = _sups(
+                np.array([np.concatenate([[0], T.coeffs, [0]]), dT.coeffs])
+            )
+            reference = num.value / (T.n * den.value)
+            rel = (num.err_estimate + e_dT) / v_dT + (den.err_estimate + e_T) / v_T
+            assert abs(bernstein_ratio(T, math.inf) - reference) <= rel * reference
+
+    def test_constant_gives_zero(self):
+        assert bernstein_ratio(LaurentPolynomial(2, [0, 0, 3 - 1j, 0, 0]), math.inf) == 0.0
+
+    def test_extreme_monomials_give_one(self):
+        for n in range(1, 9):
+            for j in (-n, n):
+                T = LaurentPolynomial.monomial(n, j, 0.5 - 2j)
+                assert bernstein_ratio(T, math.inf) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestMaximize:
     def test_small_search_reaches_the_bound(self):
         trace = maximize_ratio(1, 2.0, restarts=3, budget=4000, seed=2, jobs=1)
@@ -70,6 +93,13 @@ class TestMaximize:
         assert trace.iterations < 20000
         assert trace.best_ratio >= 1.0 - 1e-12
         assert trace.anomaly_count == 0
+
+    @pytest.mark.parametrize("p", [0.0, 2.0, math.inf])
+    def test_budget_is_never_exceeded(self, p):
+        # the last axis sweep of a restart may not add its -1 step past the budget
+        for seed in range(4):
+            trace = maximize_ratio(4, p, restarts=2, budget=300, seed=seed, jobs=1)
+            assert trace.iterations <= 2 * 300
 
     def test_budget_floor(self):
         with pytest.raises(ValueError):
