@@ -1,8 +1,8 @@
 """Circle means of Laurent polynomials and checks of their sharp derivative bounds."""
 
 from .circle_means import (
+    DEFAULT_REL_TOL,
     MeanResult,
-    QuadratureConfig,
     logplus_integral,
     mahler_from_roots,
     mean,
@@ -47,10 +47,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraicPolynomial",
     "CirclePartition",
+    "DEFAULT_REL_TOL",
     "LaurentPolynomial",
     "MeanResult",
     "NumericFailure",
-    "QuadratureConfig",
     "RatioTrace",
     "ReflectionOutput",
     "RootCountError",

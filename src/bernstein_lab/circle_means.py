@@ -10,7 +10,7 @@ independent route. Every mean carries an error estimate and a method tag.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -20,7 +20,7 @@ from .polynomials import LaurentPolynomial, horner_compensated, horner_laurent
 from .rootfind import RootSet, checked_roots
 
 __all__ = [
-    "QuadratureConfig",
+    "DEFAULT_REL_TOL",
     "MeanResult",
     "NEAR_CIRCLE_THRESHOLD",
     "mean",
@@ -36,31 +36,13 @@ __all__ = [
 # farther out, plain trapezoid refinement wins.
 NEAR_CIRCLE_THRESHOLD = 1e-3
 
+# Relative tolerance of every quadrature-backed mean, unless a caller sets one.
+DEFAULT_REL_TOL = 1e-10
+
 TWO_PI = 2.0 * np.pi
 _SUP_PASSES = 6  # Newton passes per sampled peak of mean_inf at most
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Node-doubling bounds shared by all quadrature-backed means."""
-
-    start_nodes: int = 64
-    max_nodes: int = 1 << 20
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.start_nodes < 16:
-            raise ValueError("start_nodes must be at least 16")
-        if self.max_nodes < self.start_nodes:
-            raise ValueError("max_nodes must be at least start_nodes")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValueError("rel_tol must be finite and positive")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-DEFAULT_GRID = QuadratureConfig()
+_START_NODES = 64  # first trapezoid grid of the doubling pass
+_MAX_NODES = 1 << 20  # node cap of the doubling pass
 
 
 @dataclass(frozen=True)
@@ -111,11 +93,12 @@ def _abs_on_circle(T: LaurentPolynomial, rel_tol: float):
     coefficients are five orders above |T|, the plain value is rounding
     noise.
 
-    The returned function evaluates |T| at a batch of angles t once and
-    returns a function of p giving the values M_p uses there, so every p
-    reading the batch shares that evaluation. A uniform grid from the
-    trapezoid sums (quadrature.grid_of) is evaluated by one FFT
-    (LaurentPolynomial.on_grid), other angles by plain Horner. The FFT value
+    The returned function at(t, grid=None) evaluates |T| at a batch of
+    angles t once and returns a function of p giving the values M_p uses
+    there, so every p reading the batch shares that evaluation. A caller
+    whose t is the uniform grid circle_grid(m, shift) passes grid=(m, shift),
+    and the batch is evaluated by one FFT (LaurentPolynomial.on_grid); any
+    other batch is evaluated by plain Horner. The FFT value
     errs by about u (2 + log2 m) sum |a_j|, inside the same B for the n that
     matter: against mpmath at 40 digits at the exact angles (n = 16, m = 128,
     shift 1/2, six samples each of roots-on-circle, coeff-gaussian and
@@ -124,11 +107,12 @@ def _abs_on_circle(T: LaurentPolynomial, rel_tol: float):
     over. Each p decides on compensation by its own weights; the compensated
     values are computed at most once per batch.
     """
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError("rel_tol must be finite and positive")
     bound = math.sqrt(2 * T.n + 1) * 2.0**-53 * float(np.sum(np.abs(T.coeffs)))
 
-    def at(t):
+    def at(t, grid=None):
         t = np.asarray(t, dtype=float)
-        grid = quad.grid_of(t)
         v = np.abs(T.on_grid(*grid) if grid else T(np.exp(1j * t)))
         if bound <= rel_tol * np.min(v):
             return lambda p: v
@@ -157,7 +141,7 @@ def _smooth_at_zeros(p: float) -> bool:
 
 
 def _quadrature_means(
-    T: LaurentPolynomial, ps, R: RootSet | None, grid: QuadratureConfig
+    T: LaurentPolynomial, ps, R: RootSet | None, rel_tol: float
 ) -> list[MeanResult]:
     """M_p of T for each p of ``ps`` (0 <= p < inf) by quadrature on the circle.
 
@@ -166,16 +150,16 @@ def _quadrature_means(
     the circle (``R``, read only then), p = 0 and every p that is not an
     even integer, whose integrands are not smooth there, take Gauss-Legendre
     panels graded into their angles, one pass per p, bisected until the
-    order-halved estimate meets grid.rel_tol on the mean of the integrand
+    order-halved estimate meets rel_tol on the mean of the integrand
     (absolute at p = 0, relative for p > 0). Every other p shares one
     trapezoid doubling pass that evaluates |T| once per node; each stops once
-    its M_p moves by less than grid.rel_tol relative, which at p = 0 is to
+    its M_p moves by less than rel_tol relative, which at p = 0 is to
     first order an absolute test on the mean of log|T|. |T| comes from
-    _abs_on_circle.
+    _abs_on_circle, by FFT on the doubling pass's grids.
     """
     _reject_zero(T)
     scale = float(np.max(np.abs(T.coeffs)))
-    at = _abs_on_circle(T, grid.rel_tol)
+    at = _abs_on_circle(T, rel_tol)
     integrands, transforms = [], []
     for p in ps:
         if p == 0:
@@ -192,7 +176,7 @@ def _quadrature_means(
     for i in graded:
         p = ps[i]
         raw, raw_err = quad.singular_circle_mean(
-            lambda t, g=integrands[i]: g(at(t)), angles, 2 * T.n, grid.rel_tol,
+            lambda t, g=integrands[i]: g(at(t)), angles, 2 * T.n, rel_tol,
             absolute=p == 0,
         )
         value = transforms[i](raw)
@@ -205,10 +189,11 @@ def _quadrature_means(
     smooth = [i for i, res in enumerate(out) if res is None]
     if smooth:
         _, values, errs, _ = quad.periodic_mean_doubling(
-            at,
-            grid.start_nodes,
-            grid.max_nodes,
-            grid.rel_tol,
+            # the pass samples circle_grid(m, 0), then circle_grid(m, 1/2)
+            lambda t: at(t, (t.size, 0.5 if t[0] else 0.0)),
+            _START_NODES,
+            _MAX_NODES,
+            rel_tol,
             transform=[transforms[i] for i in smooth],
             integrands=[integrands[i] for i in smooth],
         )
@@ -220,7 +205,7 @@ def _quadrature_means(
 
 
 def mean_0_quadrature(
-    T: LaurentPolynomial, R: RootSet, grid: QuadratureConfig = DEFAULT_GRID
+    T: LaurentPolynomial, R: RootSet, rel_tol: float = DEFAULT_REL_TOL
 ) -> MeanResult:
     """Geometric mean by integrating log|T| on the circle: the cross-check of mahler_from_roots.
 
@@ -232,13 +217,13 @@ def mean_0_quadrature(
     integrable, so nothing is excluded), "trapezoid" otherwise. err_estimate
     is the estimate reached plus 1e-13 relative.
     """
-    return _quadrature_means(T, [0.0], R, grid)[0]
+    return _quadrature_means(T, [0.0], R, rel_tol)[0]
 
 
 def mean_p(
     T: LaurentPolynomial,
     p: float,
-    grid: QuadratureConfig = DEFAULT_GRID,
+    rel_tol: float = DEFAULT_REL_TOL,
     roots_hint: RootSet | None = None,
 ) -> MeanResult:
     """M_p for finite p > 0 by quadrature of |T|^p: the one-element case of ``means``.
@@ -249,7 +234,7 @@ def mean_p(
     """
     if not p > 0 or math.isinf(p):
         raise ValueError("mean_p needs a finite p > 0")
-    return means(T, [p], grid, roots_hint)[0]
+    return means(T, [p], rel_tol, roots_hint)[0]
 
 
 def mean_inf(T: LaurentPolynomial) -> MeanResult:
@@ -300,17 +285,17 @@ def _sups(rows) -> tuple[np.ndarray, np.ndarray]:
 def mean(
     T: LaurentPolynomial,
     p: float,
-    grid: QuadratureConfig = DEFAULT_GRID,
+    rel_tol: float = DEFAULT_REL_TOL,
     roots_hint: RootSet | None = None,
 ) -> MeanResult:
     """M_p of T for any 0 <= p <= inf: the one-element case of ``means``."""
-    return means(T, [p], grid, roots_hint)[0]
+    return means(T, [p], rel_tol, roots_hint)[0]
 
 
 def means(
     T: LaurentPolynomial,
     ps,
-    grid: QuadratureConfig = DEFAULT_GRID,
+    rel_tol: float = DEFAULT_REL_TOL,
     roots_hint: RootSet | None = None,
 ) -> list[MeanResult]:
     """M_p of T for each p of ``ps`` (0 <= p <= inf), in the order given.
@@ -343,34 +328,34 @@ def means(
         elif math.isinf(p):
             out[i] = mean_inf(T)
     if finite:
-        for i, res in zip(finite, _quadrature_means(T, [ps[i] for i in finite], R, grid)):
+        for i, res in zip(finite, _quadrature_means(T, [ps[i] for i in finite], R, rel_tol)):
             out[i] = res
     return out
 
 
-def logplus_integral(T: LaurentPolynomial, grid: QuadratureConfig = DEFAULT_GRID) -> float:
+def logplus_integral(T: LaurentPolynomial, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """(1/2pi) integral of log^+|T(e^{it})| = max(log|T|, 0) over the circle.
 
     The integrand is continuous with kinks where |T| crosses 1. Crossings are
     located by a fine scan plus bisection and become panel ends (one panel,
     [0, 2pi], when the scan shows none). One adaptive_gl pass then takes
     every panel at once, to an absolute tolerance on the integral set from
-    grid.rel_tol and the scan's rough value: panels below 1 are exactly 0
+    rel_tol and the scan's rough value: panels below 1 are exactly 0
     under both of its rules, and a kink the scan missed is bisected like any
-    other. |T| comes from _abs_on_circle, read as at p = 0.
+    other. |T| comes from _abs_on_circle, read as at p = 0 (by FFT on the scan).
     """
     _reject_zero(T)
-    at = _abs_on_circle(T, grid.rel_tol)
+    at = _abs_on_circle(T, rel_tol)
 
-    def h(t):
-        return np.log(np.maximum(at(t)(0.0), 1e-300))
+    def h(t, grid=None):
+        return np.log(np.maximum(at(t, grid)(0.0), 1e-300))
 
     def hplus(t):
         return np.maximum(h(t), 0.0)
 
     n_scan = max(8192, 64 * (2 * T.n + 1))
     n_scan = 1 << int(np.ceil(np.log2(n_scan)))
-    hv = h(quad.circle_grid(n_scan))
+    hv = h(quad.circle_grid(n_scan), (n_scan, 0.0))
     pos = hv > 0.0
     if not np.any(pos):
         # grazing from below can still poke above 1 between scan points, but
@@ -385,6 +370,6 @@ def logplus_integral(T: LaurentPolynomial, grid: QuadratureConfig = DEFAULT_GRID
         brk = np.concatenate([crossings, [crossings[0] + TWO_PI]])
 
     rough = float(np.mean(np.maximum(hv, 0.0)))
-    tol_total = 1e-13 + grid.rel_tol * max(rough, 1e-3)
+    tol_total = 1e-13 + rel_tol * max(rough, 1e-3)
     total, _ = quad.adaptive_gl(hplus, brk[:-1], brk[1:], tol_total / TWO_PI, True)
     return total / TWO_PI

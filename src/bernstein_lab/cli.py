@@ -15,10 +15,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 from . import jsonio
-from .circle_means import DEFAULT_GRID, QuadratureConfig, means
+from .circle_means import DEFAULT_REL_TOL, means
 from .errors import NumericFailure
 from .extremal import DEFAULT_BUDGET, DEFAULT_RESTARTS, RATIO_CEILING, maximize_ratio
 from .polynomials import LaurentPolynomial
@@ -33,9 +32,6 @@ from .verify import (
 
 DEFAULT_SEED = 0
 SEED_ENV = "BERNSTEIN_LAB_SEED"
-
-# QuadratureConfig fields set by --start-nodes, --max-nodes and --rel-tol
-GRID_FIELDS = {"start_nodes": int, "max_nodes": int, "rel_tol": float}
 
 
 def parse_p(token: str) -> float:
@@ -105,10 +101,16 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _grid_from(args, config) -> QuadratureConfig:
-    """DEFAULT_GRID with the GRID_FIELDS that a flag or --config sets."""
-    given = {name: _resolve(args, config, name, None) for name in GRID_FIELDS}
-    return replace(DEFAULT_GRID, **{k: GRID_FIELDS[k](v) for k, v in given.items() if v is not None})
+def _number(args, config: dict, name: str, default, rule: str, ok) -> float:
+    """Flag or --config value ``name`` as a float; not finite or failing ``ok`` is a usage error."""
+    value = float(_resolve(args, config, name, default))
+    if not (math.isfinite(value) and ok(value)):
+        raise ValueError(f"--{name.replace('_', '-')} must be {rule}; got {value}")
+    return value
+
+
+def _rel_tol(args, config: dict) -> float:
+    return _number(args, config, "rel_tol", DEFAULT_REL_TOL, "finite and > 0", lambda x: x > 0)
 
 
 # How a flag or --config value of each SWEEP_OPTIONS entry is read.
@@ -127,7 +129,7 @@ _SWEEP_OPTION_PARSERS = {
 def cmd_means(args) -> int:
     config = _load_config(args.config)
     T = _load_polynomial(args.poly_file)
-    grid = _grid_from(args, config)
+    rel_tol = _rel_tol(args, config)
     tokens = [t for t in _resolve(args, config, "p", "0,1,2,inf").split(",") if t]
     fmt = _resolve(args, config, "format", "csv")
     out_path = _resolve(args, config, "out", None)
@@ -140,7 +142,7 @@ def cmd_means(args) -> int:
             "err": res.err_estimate,
             "method": res.method,
         }
-        for p, res in zip(ps, means(T, ps, grid))
+        for p, res in zip(ps, means(T, ps, rel_tol))
     ]
 
     run = {
@@ -148,7 +150,7 @@ def cmd_means(args) -> int:
         "seed": DEFAULT_SEED,
         "out": out_path,
         "format": fmt,
-        "params": {"poly_file": args.poly_file, "p": tokens, "grid": grid.to_json_dict()},
+        "params": {"poly_file": args.poly_file, "p": tokens, "rel_tol": rel_tol},
     }
     if fmt == "json":
         text = jsonio.dumps({"config": run, "rows": rows}) + "\n"
@@ -185,11 +187,9 @@ def cmd_verify(args) -> int:
         seed=seed,
         count=int(_resolve(args, config, "count", 100)),
     )
-    grid = _grid_from(args, config)
-    opts: dict = {"grid": grid}
-    tol = _resolve(args, config, "tol", None)
-    if tol is not None:
-        opts["tol"] = float(tol)
+    opts: dict = {"rel_tol": _rel_tol(args, config)}
+    if _resolve(args, config, "tol", None) is not None:
+        opts["tol"] = _number(args, config, "tol", None, "finite and >= 0", lambda x: x >= 0)
     row = SWEEP_OPTIONS.get(claim, {})
     # --config keys are shared defaults, so a claim reads only its own; a
     # flag it does not read is an error
@@ -227,11 +227,11 @@ def cmd_verify(args) -> int:
             "distribution": spec.distribution,
             "count": len(reports),
             "tol": opts.get("tol"),
-            "grid": grid.to_json_dict(),
+            "rel_tol": opts["rel_tol"],
             "extra": {
                 k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
                 for k, v in opts.items()
-                if k not in ("grid", "tol")
+                if k not in ("rel_tol", "tol")
             },
         },
     }
@@ -257,7 +257,7 @@ def cmd_extremal(args) -> int:
     n = int(_resolve(args, config, "n", 2))
     restarts = int(_resolve(args, config, "restarts", DEFAULT_RESTARTS))
     budget = int(_resolve(args, config, "budget", DEFAULT_BUDGET))
-    threshold = float(_resolve(args, config, "threshold", 0.99))
+    threshold = _number(args, config, "threshold", 0.99, "finite", lambda x: True)
     out_path = _resolve(args, config, "out", None)
     jobs = _resolve(args, config, "jobs", None)
 
@@ -323,15 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes (default: available parallelism)")
         sp.add_argument("--out", default=None, help="output path")
 
-    def add_grid(sp):
-        for name, kind in GRID_FIELDS.items():
-            sp.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
-
     means = sub.add_parser("means", help="tabulate M_p of a polynomial file")
     means.add_argument("poly_file", help='JSON {"n": int, "coeffs": [[re, im], ...]}')
     means.add_argument("--p", default=None, help='comma list of p tokens ("0", decimals, "inf")')
     means.add_argument("--format", choices=("csv", "json"), default=None)
-    add_grid(means)
+    means.add_argument("--rel-tol", type=float, default=None, help="quadrature tolerance")
     add_common(means)
     means.set_defaults(func=cmd_means)
 
@@ -346,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--points", type=int, default=None, help="circle grid size for lemma-2-2")
     verify.add_argument("--fubini", type=int, default=None,
                         help="1/0: cross-check thm-1-2 via the smoothing route")
-    add_grid(verify)
+    verify.add_argument("--rel-tol", type=float, default=None, help="quadrature tolerance")
     add_common(verify)
     verify.set_defaults(func=cmd_verify)
 

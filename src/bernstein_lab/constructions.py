@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as quad
-from .circle_means import QuadratureConfig, mean_0_quadrature
+from .circle_means import mean_0_quadrature
 from .errors import RootCountError
 from .polynomials import LaurentPolynomial, RootSet, from_roots, laurent_from_algebraic
 from .rootfind import classify, roots
@@ -31,8 +31,8 @@ __all__ = [
     "mu_moment",
 ]
 
-# smoothed_logplus: default node bounds, rel_tol well inside identity-3-1's 1e-8
-_SMOOTHING_GRID = QuadratureConfig(rel_tol=1e-12)
+# smoothed_logplus's quadrature tolerance, well inside identity-3-1's 1e-8
+_SMOOTHING_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,14 @@ def smoothed_logplus(v: complex) -> float:
 
     By Jensen's formula this is log M_0(v + z), and it is computed as such:
     mean_0_quadrature on the Laurent polynomial v + z, whose z (v + z) has
-    the zeros {0, -v}, on _SMOOTHING_GRID. For |v| within
+    the zeros {0, -v}, to _SMOOTHING_REL_TOL. For |v| within
     NEAR_CIRCLE_THRESHOLD of 1 the integrand has a (near-)singular angle at
     arg(-v), and panels graded into it keep full accuracy there.
     """
     v = complex(v)
     T = LaurentPolynomial(1, [0.0, v, 1.0])
     R = RootSet(leading=1.0, roots=[0.0, -v])
-    return math.log(mean_0_quadrature(T, R, _SMOOTHING_GRID).value)
+    return math.log(mean_0_quadrature(T, R, _SMOOTHING_REL_TOL).value)
 
 
 def mu_moment(u: float, p: float) -> float:
@@ -146,4 +146,5 @@ def mu_moment(u: float, p: float) -> float:
 
     s_max = 60.0
     edges = np.linspace(0.0, s_max, 13)
-    return quad.integrate_edges(integrand, edges, order=24)
+    (panels,) = quad.panel_integrals(integrand, edges[:-1], edges[1:], (24,))
+    return float(np.sum(panels))

@@ -24,9 +24,8 @@ __all__ = [
     "gl_rule",
     "periodic_mean_doubling",
     "circle_grid",
-    "grid_of",
     "graded_edges",
-    "integrate_edges",
+    "panel_integrals",
     "adaptive_gl",
     "singular_circle_mean",
     "bisect_roots",
@@ -61,23 +60,6 @@ def circle_grid(m: int, shift: float = 0.0) -> np.ndarray:
     return TWO_PI * (np.arange(m) + shift) / m
 
 
-def grid_of(t) -> tuple[int, float] | None:
-    """(m, shift) when t is bitwise circle_grid(m, shift) for shift 0 or 1/2, else None.
-
-    Lets an integrand shared by the trapezoid sums and the Gauss-Legendre
-    panels evaluate on uniform grids by FFT (LaurentPolynomial.on_grid) and
-    anywhere else pointwise.
-    """
-    if not isinstance(t, np.ndarray) or t.ndim != 1 or t.size == 0 or t.dtype != float:
-        return None
-    m = t.shape[0]
-    for shift in (0.0, 0.5):
-        # the first angle rules out other arrays before any O(m) work
-        if t[0] == TWO_PI * shift / m and np.array_equal(t, circle_grid(m, shift)):
-            return m, shift
-    return None
-
-
 def periodic_mean_doubling(
     f,
     start_nodes: int,
@@ -101,7 +83,7 @@ def periodic_mean_doubling(
 
     f is always called with one whole grid, circle_grid(m, s): s = 0 for the
     first m = start_nodes angles, then s = 1/2 for the m midpoints of each
-    doubling. grid_of(t) recovers (m, s) from it.
+    doubling: m = t.size, and s = 0 exactly when t[0] == 0.
     """
     n = max(int(start_nodes), 8)
     shared = f(circle_grid(n))
@@ -156,16 +138,7 @@ def graded_edges(a: float, b: float, max_width: float) -> np.ndarray:
     return np.concatenate([left, (mid + b - right)[-2::-1]])
 
 
-def integrate_edges(f, edges: np.ndarray, order: int = 16) -> float:
-    """Gauss-Legendre of f over consecutive [edges[i], edges[i+1]] panels.
-
-    All nodes are stacked into a single call to f.
-    """
-    (panels,) = _panel_integrals(f, edges[:-1], edges[1:], (order,))
-    return float(np.sum(panels))
-
-
-def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, orders) -> list[np.ndarray]:
+def panel_integrals(f, lo: np.ndarray, hi: np.ndarray, orders) -> list[np.ndarray]:
     """Per-panel Gauss-Legendre integrals of f over [lo_i, hi_i], one array per rule order.
 
     The nodes of every panel and every rule are stacked into a single call to f.
@@ -200,7 +173,7 @@ def adaptive_gl(f, a, b, tol: float, absolute: bool):
     hi = np.atleast_1d(np.asarray(b, dtype=float))
     width = float(np.sum(hi - lo))
     orders = (_PANEL_ORDER, _PANEL_ORDER // 2)
-    fine, coarse = _panel_integrals(f, lo, hi, orders)
+    fine, coarse = panel_integrals(f, lo, hi, orders)
     while True:
         err = np.abs(fine - coarse)
         scale = 1.0 if absolute else abs(np.sum(fine)) / width
@@ -212,7 +185,7 @@ def adaptive_gl(f, a, b, tol: float, absolute: bool):
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_fine, new_coarse = _panel_integrals(f, new_lo, new_hi, orders)
+        new_fine, new_coarse = panel_integrals(f, new_lo, new_hi, orders)
         lo = np.concatenate([lo[~split], new_lo])
         hi = np.concatenate([hi[~split], new_hi])
         fine = np.concatenate([fine[~split], new_fine])

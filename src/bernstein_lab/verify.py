@@ -19,8 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .circle_means import (
-    DEFAULT_GRID,
-    QuadratureConfig,
+    DEFAULT_REL_TOL,
     logplus_integral,
     mahler_from_roots,
     mean,
@@ -70,7 +69,7 @@ DISTRIBUTIONS = (
 
 DEFAULT_P_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 16.0)
 
-# The sweep options each claim reads besides tol and grid, with their
+# The sweep options each claim reads besides tol and rel_tol, with their
 # defaults: run_sweep's keyword arguments override them, and the CLI's
 # --p, --fubini, --points and --p-grid set them.
 SWEEP_OPTIONS = {
@@ -248,7 +247,7 @@ def check_bernstein(
     T: LaurentPolynomial,
     p: float,
     tol: float = 1e-8,
-    grid: QuadratureConfig = DEFAULT_GRID,
+    rel_tol: float = DEFAULT_REL_TOL,
     roots_hint: RootSet | None = None,
     droots_hint: RootSet | None = None,
 ) -> VerificationReport:
@@ -276,15 +275,15 @@ def check_bernstein(
         rdT = checked_roots(dT.to_algebraic(), droots_hint)
         lhs_j = mahler_from_roots(rdT).value
         rhs_j = n * mahler_from_roots(rT).value
-        lhs_q = mean_0_quadrature(dT, rdT, grid).value
-        rhs_q = n * mean_0_quadrature(T, rT, grid).value
+        lhs_q = mean_0_quadrature(dT, rdT, rel_tol).value
+        rhs_q = n * mean_0_quadrature(T, rT, rel_tol).value
         witness = _witness(T, p=0.0)
         rep_j = _report(claim, lhs_j, rhs_j, rhs_j - lhs_j, tol, witness, "jensen-product")
         rep_q = _report(claim, lhs_q, rhs_q, rhs_q - lhs_q, tol, witness, "quadrature")
         worse = _worst((rep_j, rep_q))
         return replace(worse, detail=f"worse of both routes ({worse.detail})")
-    lhs = mean(dT, p, grid, roots_hint=droots_hint).value
-    rhs = n * mean(T, p, grid, roots_hint=roots_hint).value
+    lhs = mean(dT, p, rel_tol, roots_hint=droots_hint).value
+    rhs = n * mean(T, p, rel_tol, roots_hint=roots_hint).value
     witness = _witness(T, p="inf" if math.isinf(p) else float(p))
     return _report(claim, lhs, rhs, rhs - lhs, tol, witness)
 
@@ -393,7 +392,7 @@ def _log_mahler(T: LaurentPolynomial) -> float:
 
 def check_theorem_1_2(
     T: LaurentPolynomial,
-    grid: QuadratureConfig = DEFAULT_GRID,
+    rel_tol: float = DEFAULT_REL_TOL,
     tol: float = 1e-6,
     fubini: bool = SWEEP_OPTIONS["thm-1-2"]["fubini"],
 ) -> VerificationReport:
@@ -412,8 +411,8 @@ def check_theorem_1_2(
         # derivative of a constant: left side integrand is log^+ 0 = 0
         lhs = 0.0
     else:
-        lhs = logplus_integral(dT_over_n, grid)
-    rhs = logplus_integral(T, grid)
+        lhs = logplus_integral(dT_over_n, rel_tol)
+    rhs = logplus_integral(T, rel_tol)
     rep = _report("thm-1-2", lhs, rhs, rhs - lhs, tol, _witness(T))
     if not fubini or n == 0:
         return rep
@@ -440,7 +439,7 @@ def check_monotone_p(
     T: LaurentPolynomial,
     p_grid=DEFAULT_P_GRID,
     tol: float = 1e-8,
-    grid: QuadratureConfig = DEFAULT_GRID,
+    rel_tol: float = DEFAULT_REL_TOL,
     roots_hint: RootSet | None = None,
 ) -> VerificationReport:
     """M_0 <= M_{p_1} <= ... <= M_{p_k} <= M_inf along an ascending p grid."""
@@ -450,7 +449,7 @@ def check_monotone_p(
     if any(b <= a for a, b in zip(ps, ps[1:])) or not all(0 < q < math.inf for q in ps):
         raise ValueError("p grid must be strictly ascending, positive and finite")
     ladder = [0.0, *ps, math.inf]
-    values = [res.value for res in means(T, ladder, grid, roots_hint=roots_hint)]
+    values = [res.value for res in means(T, ladder, rel_tol, roots_hint=roots_hint)]
     labels = [f"{q:g}" for q in ladder]
     return _worst(
         _report("monotone-p", a, b, b - a, tol, _witness(T, step=f"p={la} vs p={lb}"))
@@ -489,10 +488,10 @@ def _check_identity_3_2(u: float, p: float, tol: float = 1e-8) -> VerificationRe
 def _run_one(claim: str, spec: SampleSpec, index: int, opts: dict) -> VerificationReport:
     if claim in SWEEP_OPTIONS:
         opts = {**SWEEP_OPTIONS[claim], **opts}
-    # tol and grid reach a check only when the caller set them, so each
+    # tol and rel_tol reach a check only when the caller set them, so each
     # check keeps its own defaults otherwise
     tol = {} if opts.get("tol") is None else {"tol": opts["tol"]}
-    grid = {} if opts.get("grid") is None else {"grid": opts["grid"]}
+    rel_tol = {} if opts.get("rel_tol") is None else {"rel_tol": opts["rel_tol"]}
     if claim == "identity-3-1":
         return _check_identity_3_1(spec, index)
     if claim == "identity-3-2":
@@ -500,9 +499,9 @@ def _run_one(claim: str, spec: SampleSpec, index: int, opts: dict) -> Verificati
     T, planted = sample_with_roots(spec, index)
     if claim in ("thm-1-1", "thm-1-3"):
         p = 0.0 if claim == "thm-1-1" else opts["p"]
-        rep = check_bernstein(T, p, roots_hint=planted, **grid, **tol)
+        rep = check_bernstein(T, p, roots_hint=planted, **rel_tol, **tol)
     elif claim == "thm-1-2":
-        rep = check_theorem_1_2(T, fubini=opts["fubini"], **grid, **tol)
+        rep = check_theorem_1_2(T, fubini=opts["fubini"], **rel_tol, **tol)
     elif claim == "lemma-2-1":
         rep = check_lemma_2_1(T, roots_hint=planted)
     elif claim == "lemma-2-2":
@@ -512,7 +511,7 @@ def _run_one(claim: str, spec: SampleSpec, index: int, opts: dict) -> Verificati
     elif claim == "equality-case":
         rep = check_equality_case(T, roots_hint=planted, **tol)
     elif claim == "monotone-p":
-        rep = check_monotone_p(T, opts["p_grid"], roots_hint=planted, **grid, **tol)
+        rep = check_monotone_p(T, opts["p_grid"], roots_hint=planted, **rel_tol, **tol)
     else:
         raise ValueError(f"unknown claim {claim!r}")
     if rep.witness is not None:
@@ -528,7 +527,7 @@ def run_sweep(
 ) -> list[VerificationReport]:
     """Evaluate one claim over every sample of ``spec``, in index order.
 
-    ``opts`` may set tol, grid and the claim's SWEEP_OPTIONS, and any other
+    ``opts`` may set tol, rel_tol and the claim's SWEEP_OPTIONS, and any other
     key raises ValueError; the rest keep their defaults. identity-3-2 sweeps
     IDENTITY_3_2_GRID instead of spec's samples. With jobs > 1 the samples
     are scored by a process pool; outputs are collected in index order, so
@@ -536,7 +535,7 @@ def run_sweep(
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
-    unread = set(opts) - {"tol", "grid", *SWEEP_OPTIONS.get(claim, ())}
+    unread = set(opts) - {"tol", "rel_tol", *SWEEP_OPTIONS.get(claim, ())}
     if unread:
         raise ValueError(f"{claim} does not read the sweep options {sorted(unread)}")
     count = len(IDENTITY_3_2_GRID) if claim == "identity-3-2" else spec.count

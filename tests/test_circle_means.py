@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bernstein_lab.circle_means import (
-    QuadratureConfig,
     logplus_integral,
     mahler_from_roots,
     mean,
@@ -354,7 +353,7 @@ class TestLogPlus:
 
         T = sample_polynomial(SampleSpec(16, "roots-on-circle", 123, 2), 1)
         D = T.derivative() * (1.0 / 16)
-        value = logplus_integral(D, QuadratureConfig(rel_tol=1e-14))
+        value = logplus_integral(D, 1e-14)
         assert value == pytest.approx(2.3217515570592684441, abs=1e-13)
 
 
@@ -415,6 +414,10 @@ class TestMeanProperties:
             mab = mahler_from_roots(roots(AB)).value
             assert mab == pytest.approx(ma * mb, rel=1e-10)
 
-    def test_quadrature_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(start_nodes=8)
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_rel_tol_must_be_finite_and_positive(self, rel_tol):
+        T = LaurentPolynomial(1, [1.0, 0.5, 2.0])
+        with pytest.raises(ValueError, match="rel_tol"):
+            means(T, [0.5], rel_tol=rel_tol)
+        with pytest.raises(ValueError, match="rel_tol"):
+            logplus_integral(T, rel_tol)

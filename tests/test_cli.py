@@ -94,8 +94,8 @@ class TestMeans:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--start-nodes", "8"],
-            ["--max-nodes", "8"],
+            ["--rel-tol=-inf"],
+            ["--rel-tol", "1e-400"],  # parses to 0
             ["--rel-tol", "0"],
             ["--rel-tol", "-1"],
             ["--rel-tol", "nan"],
@@ -105,6 +105,18 @@ class TestMeans:
     def test_bad_grid_exit_2(self, poly_file, capsys, flags):
         assert main(["means", poly_file, "--p", "0.5,3", *flags]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_rel_tol_in_config_exit_2(self, poly_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rel_tol": 0}))
+        out = tmp_path / "m.csv"
+        assert main(["means", poly_file, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "--rel-tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_config_records_rel_tol(self, poly_file, capsys):
+        assert main(["means", poly_file, "--p", "0.5", "--format", "json", "--rel-tol", "1e-9"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["params"]["rel_tol"] == 1e-9
 
 
     def test_zeros_solved_only_when_read(self, tmp_path, capsys, monkeypatch):
@@ -232,6 +244,27 @@ class TestVerifyCommand:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tol_exit_2_before_any_sample(self, tmp_path, capsys, monkeypatch, tol):
+        # a usage error, not a counterexample, and no sample runs
+        from bernstein_lab import verify
+
+        monkeypatch.setattr(verify, "_run_one", lambda *a: pytest.fail("a sample ran"))
+        out = tmp_path / "t.jsonl"
+        argv = ["verify", "--claim", "thm-1-1", "--n", "2", "--count", "4", "--jobs", "1"]
+        assert main([*argv, f"--tol={tol}", "--out", str(out)]) == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "t.jsonl.run.json").exists()
+
+    def test_run_record_holds_the_rel_tol_used(self, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        argv = ["verify", "--claim", "thm-1-1", "--n", "2", "--count", "2", "--jobs", "1"]
+        for flags, used in (([], 1e-10), (["--rel-tol", "1e-12"], 1e-12)):
+            assert main([*argv, *flags, "--out", str(out)]) == 0
+            run = json.loads((tmp_path / "r.jsonl.run.json").read_text())
+            assert run["params"]["rel_tol"] == used
+            assert "grid" not in run["params"]
+
     def test_identity_sweeps(self, tmp_path, capsys):
         out = str(tmp_path / "i.jsonl")
         rc = main([
@@ -340,6 +373,19 @@ class TestExtremalCommand:
         ])
         assert rc == 0
         assert json.loads(open(out).read())["trace"]["best_ratio"] >= 0.999
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_2_before_the_search(
+        self, tmp_path, capsys, monkeypatch, threshold
+    ):
+        from bernstein_lab import cli
+
+        monkeypatch.setattr(cli, "maximize_ratio", lambda *a, **k: pytest.fail("the search ran"))
+        out = tmp_path / "trace.json"
+        argv = ["extremal", "--n", "1", "--p", "2", "--jobs", "1", "--out", str(out)]
+        assert main([*argv, f"--threshold={threshold}"]) == 2
+        assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreachable_threshold_exits_one(self, capsys):
         rc = main(["extremal", "--n", "1", "--p", "2", "--threshold", "1.0001"])
