@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from . import quadrature as quad
-from .polynomials import LaurentPolynomial, horner_compensated, horner_laurent
+from .polynomials import LaurentPolynomial, horner_compensated
 from .rootfind import RootSet, checked_roots
 
 __all__ = [
@@ -63,6 +63,11 @@ def _reject_zero(T: LaurentPolynomial):
         raise ValueError("mean of the zero polynomial is undefined")
 
 
+def _check_rel_tol(rel_tol: float):
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError("rel_tol must be finite and positive")
+
+
 def mahler_from_roots(R: RootSet) -> MeanResult:
     """Geometric mean from the product formula |c| * prod max(1, |z_k|)."""
     mods = np.abs(R.roots)
@@ -107,8 +112,7 @@ def _abs_on_circle(T: LaurentPolynomial, rel_tol: float):
     over. Each p decides on compensation by its own weights; the compensated
     values are computed at most once per batch.
     """
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
-        raise ValueError("rel_tol must be finite and positive")
+    _check_rel_tol(rel_tol)
     bound = math.sqrt(2 * T.n + 1) * 2.0**-53 * float(np.sum(np.abs(T.coeffs)))
 
     def at(t, grid=None):
@@ -240,15 +244,16 @@ def mean_p(
 def mean_inf(T: LaurentPolynomial) -> MeanResult:
     """Sup of |T| on the circle: the one-row case of _sups, which takes a stack of rows.
 
-    The rows of one class share 16 samples per coefficient and one stacked
-    Horner pass. Every local maximum of the samples (so near-tied peaks cannot
-    shadow the true max) is polished by Newton on d|T|^2/dt, quadratic since
-    |T|^2 on the circle is a trigonometric polynomial: one loop takes the
-    peaks of every row, reading u, u' and u'' by one einsum over exp(i j t),
+    Each row is sampled by one FFT (LaurentPolynomial.on_grid) at 16 points
+    per coefficient. Every local maximum of the samples (so near-tied peaks
+    cannot shadow the true max) is polished by Newton on d|T|^2/dt, reading
+    u, u' and u'' by one einsum over exp(i j t) for the peaks of every row,
     until the largest step is below the rounding level of t or after
-    _SUP_PASSES. err_estimate is sum |j a_j| (a bound on |dT/dt|) times the
-    last step of any peak that could still rise past the value, plus the
-    rounding of Horner or of the polish, 2 (2n + 1) u sum |a_j|. Zero gives 0.
+    _SUP_PASSES. A peak whose slope Re(conj(u) u') is within its rounding,
+    2 (2n + 1) u sum |a_j| sum |j a_j|, takes no step, as on a flat |T|.
+    err_estimate is sum |j a_j| (a bound on |dT/dt|) times the last step of
+    any peak that could still rise past the value, plus the rounding of the
+    samples or of the polish, 2 (2n + 1) u sum |a_j|. Zero gives 0.
     """
     (value,), (err,) = _sups(T.coeffs[None])
     return MeanResult(p=math.inf, value=float(value), err_estimate=float(err), method="sampled-max")
@@ -258,13 +263,14 @@ def _sups(rows) -> tuple[np.ndarray, np.ndarray]:
     """mean_inf's value and err_estimate for each coefficient row of a stack of one class."""
     j = np.arange(rows.shape[1]) - rows.shape[1] // 2
     samples = max(16 * rows.shape[1], 64)
-    t = TWO_PI * np.arange(samples) / samples
-    z = np.exp(1j * t)
-    g = np.abs(horner_laurent(rows, z, np.conj(z)))
+    g = np.abs([LaurentPolynomial(rows.shape[1] // 2, r).on_grid(samples) for r in rows])
     wrap = np.concatenate([g[:, -1:], g, g[:, :1]], axis=1)
     row, k = np.nonzero((g >= wrap[:, :-2]) & (g >= wrap[:, 2:]))
     series = np.stack([rows, 1j * j * rows, -(j * j) * rows], axis=1)[row]
-    tk = t[k]
+    slope = np.abs(j * rows).sum(axis=1)
+    rounding = 2.0**-52 * rows.shape[1] * np.abs(rows).sum(axis=1)
+    g1_noise = (rounding * slope)[row]
+    tk = TWO_PI * k / samples
     lo, hi = tk - TWO_PI / samples, tk + TWO_PI / samples
     best = g.max(axis=1)
     for _ in range(_SUP_PASSES):
@@ -272,14 +278,15 @@ def _sups(rows) -> tuple[np.ndarray, np.ndarray]:
         np.maximum.at(best, row, np.abs(u))
         g1 = np.real(np.conj(u) * du)
         g2 = np.abs(du) ** 2 + np.real(np.conj(u) * ddu)
-        step = np.divide(g1, g2, out=np.zeros_like(g1), where=g2 < 0.0)  # where concave
+        # a step only where concave and the slope is above its rounding
+        step = np.divide(g1, g2, out=np.zeros_like(g1), where=(g2 < 0) & (np.abs(g1) > g1_noise))
         if np.abs(step).max() <= np.spacing(TWO_PI):
             break
         tk = np.minimum(np.maximum(tk - step, lo), hi)
     # a peak whose step has not settled may still rise by up to |dT/dt| times it
     reach = best.copy()
-    np.maximum.at(reach, row, np.abs(u) + np.abs(j * rows).sum(axis=1)[row] * np.abs(step))
-    return best, reach - best + 2.0**-52 * rows.shape[1] * np.abs(rows).sum(axis=1)
+    np.maximum.at(reach, row, np.abs(u) + slope[row] * np.abs(step))
+    return best, reach - best + rounding
 
 
 def mean(
@@ -313,6 +320,7 @@ def means(
     when it factors the stored coefficients, and is refined or replaced by
     a solve when it does not.
     """
+    _check_rel_tol(rel_tol)
     ps = list(ps)
     finite = [i for i, p in enumerate(ps) if p != 0 and not math.isinf(p)]
     if finite:

@@ -66,7 +66,7 @@ def bernstein_ratio(T: LaurentPolynomial, p: float) -> float:
 
     p = 2 reads the coefficient power sums (Parseval). At p = inf, T and T'
     are two rows of class n + 1 in one call of mean_inf's engine, sharing the
-    grid, the Horner sample and the Newton loop; a constant T gives 0.
+    grid, the FFT sample and the Newton loop; a constant T gives 0.
     Returns -1.0 for degenerate inputs (mean below the guard threshold).
     """
     n = T.n
@@ -205,6 +205,8 @@ def maximize_ratio(
     """
     if n < 1:
         raise ValueError("class bound must be at least 1")
+    if restarts < 1:
+        raise ValueError("need at least one restart")
     if budget < 100:
         raise ValueError("budget below any useful search length")
     args = [(n, p, budget, seed, r) for r in range(restarts)]

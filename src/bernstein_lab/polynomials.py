@@ -281,38 +281,25 @@ def laurent_from_algebraic(P: AlgebraicPolynomial, n: int) -> LaurentPolynomial:
 
 
 def horner(coeffs, z):
-    """sum_j coeffs[..., j] z^j by Horner's scheme, at a scalar or an array z.
-
-    Rows stacked on the leading axes of ``coeffs`` are evaluated together:
-    the result has shape coeffs.shape[:-1] + z.shape. One row at a scalar z
-    gives a complex.
-    """
+    """sum_j coeffs[j] z^j by Horner's scheme, at a scalar z (giving a complex) or an array z."""
     c = np.asarray(coeffs, dtype=complex)
     zz = np.asarray(z, dtype=complex)
-    # coefficient axis first, then the row axes, then one axis per axis of z
-    c = c.reshape(-1, c.shape[-1]).T.reshape(c.shape[-1:] + c.shape[:-1] + (1,) * zz.ndim)
-    acc = c[-1]
+    acc = np.full(zz.shape, c[-1])
     for ck in c[-2::-1]:
         acc = acc * zz + ck
-    if c.shape[0] == 1:  # no step has spread the constant over z
-        acc = acc + np.zeros_like(zz)
     return complex(acc) if acc.ndim == 0 else acc
 
 
-def horner_laurent(coeffs, z, w=None):
-    """sum_{j=-n}^{n} coeffs[..., j + n] z^j, stacked rows as in ``horner``.
-
-    Horner in z for j >= 0 plus Horner in w for j < 0. w defaults to 1/z;
-    on the unit circle conj(z) is the same point and costs no division.
-    """
+def horner_laurent(coeffs, z):
+    """sum_{j=-n}^{n} coeffs[j + n] z^j: Horner in z for j >= 0, in 1/z for j < 0."""
     c = np.asarray(coeffs, dtype=complex)
-    n = (c.shape[-1] - 1) // 2
-    pos = horner(c[..., n:], z)
+    n = (c.shape[0] - 1) // 2
+    pos = horner(c[n:], z)
     if n == 0:
         return pos
-    # w as an array, so a scalar point rounds as it does inside an array
-    w = np.asarray(1.0 / np.asarray(z, dtype=complex) if w is None else w)
-    total = pos + horner(c[..., n - 1 :: -1], w) * w
+    # 1/z as an array, so a scalar point rounds as it does inside an array
+    w = np.asarray(1.0 / np.asarray(z, dtype=complex))
+    total = pos + horner(c[n - 1 :: -1], w) * w
     return complex(total) if total.ndim == 0 else total
 
 

@@ -2,12 +2,13 @@
 
 The zeros come from the eigenvalues of the companion matrix (numpy.roots,
 LAPACK), which are backward stable (Edelman and Murakami, Math. Comp. 64,
-1995), polished by per-root Newton steps. Each pass evaluates P, P' and
-Higham's running rounding bound mu of P in one Horner sweep; a root stops
-once |P| is within 4 u mu, the rounding level, or once a step fails to lower
-|P|, and the residual check reads that last pass. Multiple roots are
-returned as nearby simple roots; every downstream formula is continuous in
-the roots, so clusters are harmless at our tolerances.
+1995), polished by one guarded Newton step per root. One Horner sweep
+evaluates P, P' and Higham's running rounding bound mu of P; a root whose
+|P| is within 4 u mu, the rounding level, takes no step, a step is kept
+only where it lowers |P|, and the residual check reads the values at the
+kept points. Multiple roots are returned as nearby simple roots; every
+downstream formula is continuous in the roots, so clusters are harmless at
+our tolerances.
 
 Every root set is judged against the stored double-precision coefficients by
 its Weierstrass residual, relative to max(1, |z_k|) for each root, with
@@ -57,8 +58,7 @@ DEFAULT_CIRCLE_EPS = 1e-9
 # 3.1x at most). For degree up to about 100 this keeps root-product means
 # inside the 1e-8 relative verdict tolerance.
 MAX_RESIDUAL = 1e-10
-# Newton steps at most per root in _newton_polish, and Aberth steps in _refined
-_NEWTON_ITER = 8
+# Aberth steps at most in _refined
 _COMPENSATED_ITER = 30
 _ESCALATION_DPS = 30
 _ESCALATION_MAXSTEPS = 400
@@ -121,29 +121,22 @@ def _residual_within(
 
 
 def _newton_polish(c: np.ndarray, z: np.ndarray):
-    """Per-root Newton steps until |P| reaches rounding level; returns (z, (|P(z)|, mu)).
+    """One guarded Newton step per root; returns (z, (|P(z)|, mu)).
 
-    A root stops once |P(z_k)| is within its running rounding bound
-    _ROUNDING_BOUND * mu_k, below which a step only follows rounding noise,
-    or once a step fails to lower |P(z_k)|; that step is not kept. At most
-    _NEWTON_ITER steps. Every pass is one _horner_bound call over all roots, and
-    the last one's values are returned for the residual check.
+    A root whose |P(z_k)| is within its running rounding bound
+    _ROUNDING_BOUND * mu_k takes no step, since below it a step only follows
+    rounding noise; every other root keeps its step where it lowers
+    |P(z_k)|. From the companion eigenvalues one step reaches the rounding
+    level in nearly every solve. The values at the returned points are
+    returned for the residual check.
     """
     p, dp, mu = _horner_bound(c, z)
     active = np.abs(p) > _ROUNDING_BOUND * mu
-    for _ in range(_NEWTON_ITER):
-        if not np.any(active):
-            break
-        step = p / np.where(np.abs(dp) < 1e-300, 1e-300 + 0j, dp)
-        cand = np.where(active, z - step, z)
-        pc, dpc, muc = _horner_bound(c, cand)
-        better = active & (np.abs(pc) < np.abs(p))
-        z = np.where(better, cand, z)
-        p = np.where(better, pc, p)
-        dp = np.where(better, dpc, dp)
-        mu = np.where(better, muc, mu)
-        active = better & (np.abs(p) > _ROUNDING_BOUND * mu)
-    return z, (np.abs(p), mu)
+    step = p / np.where(np.abs(dp) < 1e-300, 1e-300 + 0j, dp)
+    cand = np.where(active, z - step, z)
+    pc, _, muc = _horner_bound(c, cand)
+    better = active & (np.abs(pc) < np.abs(p))
+    return np.where(better, cand, z), (np.abs(np.where(better, pc, p)), np.where(better, muc, mu))
 
 
 def _aberth_step(z: np.ndarray, p: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -217,8 +210,8 @@ def roots(P: AlgebraicPolynomial) -> RootSet:
 
     High-order zero coefficients are stripped first (counted in
     degree_deficit); low-order zero coefficients become exact roots at the
-    origin. The rest are companion-matrix eigenvalues polished by Newton
-    steps down to the rounding level (see _newton_polish). When they have a
+    origin. The rest are companion-matrix eigenvalues polished by one
+    guarded Newton step (see _newton_polish). When they have a
     Weierstrass residual above MAX_RESIDUAL against the stored coefficients,
     the same coefficients are solved again in extended precision: Aberth
     steps on compensated-Horner values from the unpolished eigenvalues, then,

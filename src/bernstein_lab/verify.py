@@ -270,21 +270,21 @@ def check_bernstein(
     n = T.n
     dT = T.derivative()
     claim = "thm-1-1" if p == 0 else "thm-1-3"
-    if p == 0:
+    witness = _witness(T, p="inf" if math.isinf(p) else float(p))
+    if p == 0 and not dT.is_zero():
         rT = checked_roots(T.to_algebraic(), roots_hint)
         rdT = checked_roots(dT.to_algebraic(), droots_hint)
         lhs_j = mahler_from_roots(rdT).value
         rhs_j = n * mahler_from_roots(rT).value
         lhs_q = mean_0_quadrature(dT, rdT, rel_tol).value
         rhs_q = n * mean_0_quadrature(T, rT, rel_tol).value
-        witness = _witness(T, p=0.0)
         rep_j = _report(claim, lhs_j, rhs_j, rhs_j - lhs_j, tol, witness, "jensen-product")
         rep_q = _report(claim, lhs_q, rhs_q, rhs_q - lhs_q, tol, witness, "quadrature")
         worse = _worst((rep_j, rep_q))
         return replace(worse, detail=f"worse of both routes ({worse.detail})")
-    lhs = mean(dT, p, rel_tol, roots_hint=droots_hint).value
+    # a constant T has T' = 0, so M_p(T') = 0 at every p, as in check_equality_case
+    lhs = 0.0 if dT.is_zero() else mean(dT, p, rel_tol, roots_hint=droots_hint).value
     rhs = n * mean(T, p, rel_tol, roots_hint=roots_hint).value
-    witness = _witness(T, p="inf" if math.isinf(p) else float(p))
     return _report(claim, lhs, rhs, rhs - lhs, tol, witness)
 
 

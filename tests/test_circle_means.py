@@ -175,13 +175,13 @@ def six_pass_mean_inf(T):
     j = np.arange(-n, n + 1)
     stack = np.vstack([T.coeffs, 1j * j * T.coeffs, -(j * j) * T.coeffs])
 
-    def u_series(t, rows=stack):
+    def u_series(t):
         z = np.exp(1j * t)
-        return horner_laurent(rows, z, np.conj(z))
+        return [horner_laurent(r, z) for r in stack]
 
     samples = max(16 * (2 * n + 1), 64)
     t = 2 * np.pi * np.arange(samples) / samples
-    g = np.abs(u_series(t, T.coeffs))
+    g = np.abs(u_series(t)[0])
     peak = (g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
     h = 2 * np.pi / samples
     best = float(np.max(g))
@@ -194,7 +194,7 @@ def six_pass_mean_inf(T):
         step = np.where(g2 < 0.0, g1 / np.where(g2 < 0.0, g2, -1.0), 0.0)
         tk = np.clip(tk - step, lo, hi)
         best = max(best, float(np.max(np.abs(u))))
-    best = max(best, float(np.max(np.abs(u_series(tk, T.coeffs)))))
+    best = max(best, float(np.max(np.abs(u_series(tk)[0]))))
     return best, float(np.sum(np.abs(j * T.coeffs))) * float(np.max(np.abs(step)))
 
 
@@ -217,6 +217,14 @@ class TestStackedSup:
         for T in monomials:
             res = mean_inf(T)
             assert res.value + res.err_estimate >= np.max(np.abs(T.on_circle(t)))
+
+    def test_flat_peaks_settle(self, sup_corpus):
+        # on a monomial every slope is rounding noise, so no peak takes a step
+        _, monomials = sup_corpus
+        for T in monomials:
+            res = mean_inf(T)
+            assert res.value == pytest.approx(1.5, rel=1e-14)
+            assert res.err_estimate <= 1e-13 * res.value
 
     def test_polish_converges(self):
         rng = np.random.default_rng(5)
@@ -312,6 +320,16 @@ class TestSharedLadder:
         for bad in ([0.5, -1.0], [float("nan")]):
             with pytest.raises(ValueError):
                 means(T, bad)
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-10, float("nan"), float("inf")])
+    def test_rejects_bad_rel_tol_before_any_route(self, rel_tol, monkeypatch):
+        # p = 0 and p = inf read no quadrature, and no zeros are solved
+        from bernstein_lab import circle_means
+
+        monkeypatch.setattr(circle_means, "checked_roots", lambda *a: pytest.fail("a solve ran"))
+        T = LaurentPolynomial(1, [1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="rel_tol"):
+            means(T, [0.0, math.inf], rel_tol=rel_tol)
 
 
 class TestLogPlus:

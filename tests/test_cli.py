@@ -244,6 +244,16 @@ class TestVerifyCommand:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("claim", [["thm-1-1"], ["thm-1-3", "--p", "0.5"]])
+    def test_constant_class_passes(self, tmp_path, capsys, claim):
+        # n = 0: T is a constant, T' = 0, and 0 <= 0 holds
+        out = tmp_path / "c.jsonl"
+        argv = ["verify", "--claim", *claim, "--n", "0", "--count", "3", "--jobs", "1"]
+        assert main([*argv, "--out", str(out)]) == 0
+        for line in out.read_text().splitlines():
+            rec = json.loads(line)
+            assert rec["passed"] and rec["lhs"] == 0 and rec["rhs"] == 0
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
     def test_bad_tol_exit_2_before_any_sample(self, tmp_path, capsys, monkeypatch, tol):
         # a usage error, not a counterexample, and no sample runs
@@ -386,6 +396,10 @@ class TestExtremalCommand:
         assert main([*argv, f"--threshold={threshold}"]) == 2
         assert "--threshold" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_restarts_exit_2(self, capsys):
+        assert main(["extremal", "--n", "1", "--p", "2", "--restarts", "0"]) == 2
+        assert "restart" in capsys.readouterr().err
 
     def test_unreachable_threshold_exits_one(self, capsys):
         rc = main(["extremal", "--n", "1", "--p", "2", "--threshold", "1.0001"])

@@ -105,6 +105,10 @@ class TestMaximize:
         with pytest.raises(ValueError):
             maximize_ratio(1, 2.0, restarts=1, budget=10, seed=0)
 
+    def test_needs_a_restart(self):
+        with pytest.raises(ValueError, match="restart"):
+            maximize_ratio(1, 2.0, restarts=0, seed=0)
+
     def test_trace_serialization_downsamples(self):
         trace = RatioTrace(
             n=1,

@@ -55,18 +55,22 @@ class TestEval:
 
 
 class TestHorner:
-    def test_stacked_rows_match_row_by_row(self):
+    def test_one_row_matches_naive_sum(self):
         rng = np.random.default_rng(8)
-        rows = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
+        c = rng.normal(size=7) + 1j * rng.normal(size=7)
         z = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
-        stacked = horner(rows, z)
-        two_sided = horner_laurent(rows, z)
-        assert stacked.shape == two_sided.shape == (3, 4, 5)
-        for r, c in enumerate(rows):
-            assert np.array_equal(stacked[r], horner(c, z))
-            assert np.array_equal(two_sided[r], LaurentPolynomial(3, c)(z))
-            naive = sum(c[j] * z**j for j in range(7))
-            assert np.max(np.abs(stacked[r] - naive)) <= 1e-12 * np.max(np.abs(naive))
+        one_sided, two_sided = horner(c, z), horner_laurent(c, z)
+        assert one_sided.shape == two_sided.shape == (4, 5)
+        assert np.array_equal(two_sided, LaurentPolynomial(3, c)(z))
+        naive = sum(c[j] * z**j for j in range(7))
+        assert np.max(np.abs(one_sided - naive)) <= 1e-12 * np.max(np.abs(naive))
+        naive = sum(c[j + 3] * z**j for j in range(-3, 4))
+        assert np.max(np.abs(two_sided - naive)) <= 1e-12 * np.max(np.abs(naive))
+
+    def test_constant_spreads_over_the_points(self):
+        z = np.array([[0.5, 2j], [1.0, -1.0]])
+        assert np.array_equal(horner([3 - 1j], z), np.full((2, 2), 3 - 1j))
+        assert np.array_equal(LaurentPolynomial(0, [2j])(z), np.full((2, 2), 2j))
 
     def test_scalar_point_gives_complex(self):
         rng = np.random.default_rng(9)

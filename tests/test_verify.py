@@ -125,6 +125,21 @@ class TestCheckBernstein:
         with pytest.raises(ValueError):
             check_bernstein(LaurentPolynomial.zero(2), 1.0)
 
+    def test_constant_has_zero_derivative_mean(self):
+        # T' = 0, so M_p(T') = 0 <= n M_p(T) at every p
+        for T in (LaurentPolynomial(0, [3 - 4j]), LaurentPolynomial(2, [0, 0, 3 - 4j, 0, 0])):
+            for p in (0.0, 0.5, 2.0, math.inf):
+                rep = check_bernstein(T, p)
+                assert rep.passed and rep.lhs == 0.0
+                assert rep.rhs == pytest.approx(5.0 * T.n, rel=1e-12)
+                assert rep.margin == rep.rhs
+
+    def test_bad_rel_tol_rejected_on_every_route(self):
+        T = LaurentPolynomial(1, [0, -2, 1])
+        for p in (0.0, 0.5, math.inf):
+            with pytest.raises(ValueError, match="rel_tol"):
+                check_bernstein(T, p, rel_tol=float("nan"))
+
 
 class TestEqualityCase:
     def test_z_minus_half(self):
