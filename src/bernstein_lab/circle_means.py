@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from . import quadrature as quad
-from .polynomials import LaurentPolynomial, horner_compensated
+from .polynomials import LaurentPolynomial, fft_on_grid, horner_compensated
 from .rootfind import RootSet, checked_roots
 
 __all__ = [
@@ -244,12 +244,13 @@ def mean_p(
 def mean_inf(T: LaurentPolynomial) -> MeanResult:
     """Sup of |T| on the circle: the one-row case of _sups, which takes a stack of rows.
 
-    Each row is sampled by one FFT (LaurentPolynomial.on_grid) at 16 points
+    The rows are sampled by one FFT (polynomials.fft_on_grid) at 16 points
     per coefficient. Every local maximum of the samples (so near-tied peaks
     cannot shadow the true max) is polished by Newton on d|T|^2/dt, reading
-    u, u' and u'' by one einsum over exp(i j t) for the peaks of every row,
-    until the largest step is below the rounding level of t or after
-    _SUP_PASSES. A peak whose slope Re(conj(u) u') is within its rounding,
+    u, u' and u'' by one einsum over exp(i j t) for the moving peaks of every
+    row. Each peak stops once its own step is below the rounding level of t,
+    or after _SUP_PASSES, so a row's values do not depend on the other rows.
+    A peak whose slope Re(conj(u) u') is within its rounding,
     2 (2n + 1) u sum |a_j| sum |j a_j|, takes no step, as on a flat |T|.
     err_estimate is sum |j a_j| (a bound on |dT/dt|) times the last step of
     any peak that could still rise past the value, plus the rounding of the
@@ -263,7 +264,7 @@ def _sups(rows) -> tuple[np.ndarray, np.ndarray]:
     """mean_inf's value and err_estimate for each coefficient row of a stack of one class."""
     j = np.arange(rows.shape[1]) - rows.shape[1] // 2
     samples = max(16 * rows.shape[1], 64)
-    g = np.abs([LaurentPolynomial(rows.shape[1] // 2, r).on_grid(samples) for r in rows])
+    g = np.abs(fft_on_grid(rows, samples, 0.0))
     wrap = np.concatenate([g[:, -1:], g, g[:, :1]], axis=1)
     row, k = np.nonzero((g >= wrap[:, :-2]) & (g >= wrap[:, 2:]))
     series = np.stack([rows, 1j * j * rows, -(j * j) * rows], axis=1)[row]
@@ -273,20 +274,27 @@ def _sups(rows) -> tuple[np.ndarray, np.ndarray]:
     tk = TWO_PI * k / samples
     lo, hi = tk - TWO_PI / samples, tk + TWO_PI / samples
     best = g.max(axis=1)
-    for _ in range(_SUP_PASSES):
+    # |T| plus |dT/dt| times the last step at each stopped peak: how far the row may still rise
+    rise = np.zeros(rows.shape[0])
+    for passes_left in reversed(range(_SUP_PASSES)):
         u, du, ddu = np.einsum("kj,kdj->dk", np.exp(1j * (tk[:, None] * j)), series)
         np.maximum.at(best, row, np.abs(u))
         g1 = np.real(np.conj(u) * du)
         g2 = np.abs(du) ** 2 + np.real(np.conj(u) * ddu)
         # a step only where concave and the slope is above its rounding
         step = np.divide(g1, g2, out=np.zeros_like(g1), where=(g2 < 0) & (np.abs(g1) > g1_noise))
-        if np.abs(step).max() <= np.spacing(TWO_PI):
-            break
+        # a peak stops once its step is at the rounding level of t, or on the last pass
+        moving = (np.abs(step) > np.spacing(TWO_PI)) & (passes_left > 0)
+        if not moving.all():
+            stop = ~moving
+            np.maximum.at(rise, row[stop], np.abs(u[stop]) + slope[row[stop]] * np.abs(step[stop]))
+            if not moving.any():
+                break
+            row, series, g1_noise, tk, lo, hi, step = (
+                a[moving] for a in (row, series, g1_noise, tk, lo, hi, step)
+            )
         tk = np.minimum(np.maximum(tk - step, lo), hi)
-    # a peak whose step has not settled may still rise by up to |dT/dt| times it
-    reach = best.copy()
-    np.maximum.at(reach, row, np.abs(u) + slope[row] * np.abs(step))
-    return best, reach - best + rounding
+    return best, np.maximum(best, rise) - best + rounding
 
 
 def mean(

@@ -319,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON file of defaults; flags override it")
         sp.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: available parallelism)")
         sp.add_argument("--out", default=None, help="output path")
 
     means = sub.add_parser("means", help="tabulate M_p of a polynomial file")
@@ -354,6 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     extremal.add_argument("--threshold", type=float, default=None)
     add_common(extremal)
     extremal.set_defaults(func=cmd_extremal)
+    for sp in (verify, extremal):
+        sp.add_argument("--jobs", type=int, default=None,
+                        help="worker processes, at least 1 (default: available parallelism)")
 
     return parser
 

@@ -62,39 +62,48 @@ class RatioTrace:
 
 
 def bernstein_ratio(T: LaurentPolynomial, p: float) -> float:
-    """M_p(T') / (n M_p(T)), the search's inner loop; each mean as circle_means.mean gives it.
-
-    p = 2 reads the coefficient power sums (Parseval). At p = inf, T and T'
-    are two rows of class n + 1 in one call of mean_inf's engine, sharing the
-    grid, the FFT sample and the Newton loop; a constant T gives 0.
-    Returns -1.0 for degenerate inputs (mean below the guard threshold).
-    """
-    n = T.n
-    if n < 1:
+    """M_p(T') / (n M_p(T)) as _ratios gives it for one row; -1.0 if M_p(T) is below the guard."""
+    if T.n < 1:
         raise ValueError("class bound must be at least 1")
-    if T.is_zero():
-        return -1.0
-    dT = T.derivative()
+    return float(next(_ratios(T.coeffs[None], p)))
+
+
+def _ratios(rows: np.ndarray, p: float):
+    """Yield bernstein_ratio of each coefficient row of a stack of one class n >= 1, as it is alone.
+
+    At the first read, p = 2 takes each row's coefficient power sums (Parseval)
+    and p = inf one call of mean_inf's engine over the T and T' rows of the
+    stack, in class n + 1 (a constant T gives 0). Any other p takes
+    circle_means.mean row by row as each is read, so an unread row costs nothing.
+    """
+    count, width = rows.shape
+    n = width // 2
+    derivs = np.zeros((count, width + 2), dtype=complex)
+    derivs[:, :width] = (np.arange(width) - n) * rows
     if p == 2.0:
-        num = math.sqrt(float(np.sum(np.abs(dT.coeffs) ** 2)))
-        den = math.sqrt(float(np.sum(np.abs(T.coeffs) ** 2)))
+        num = np.sqrt(np.sum(np.abs(derivs) ** 2, axis=1))
+        den = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
     elif math.isinf(p):
-        (den, num), _ = _sups(np.array([np.concatenate([[0], T.coeffs, [0]]), dT.coeffs]))
+        padded = np.zeros_like(derivs)
+        padded[:, 1:-1] = rows
+        sups, _ = _sups(np.concatenate([padded, derivs]))
+        den, num = sups[:count], sups[count:]
     else:
-        den = mean(T, p).value
-        num = 0.0 if dT.is_zero() else mean(dT, p).value
-    if den < DEGENERATE_MEAN:
-        return -1.0
-    return float(num / (n * den))
+        for row, deriv in zip(rows, derivs):
+            den = mean(LaurentPolynomial(n, row), p).value if np.any(row) else 0.0
+            num = mean(LaurentPolynomial(n + 1, deriv), p).value if np.any(deriv) else 0.0
+            yield -1.0 if den < DEGENERATE_MEAN else num / (n * den)
+        return
+    yield from np.divide(num, n * den, out=np.full(count, -1.0), where=~(den < DEGENERATE_MEAN))
 
 
-def _coeffs_from_vector(x: np.ndarray, n: int) -> LaurentPolynomial:
+def _coeffs_from_vector(x: np.ndarray, n: int) -> np.ndarray:
     half = 2 * n + 1
-    return LaurentPolynomial(n, x[:half] + 1j * x[half:])
+    return x[..., :half] + 1j * x[..., half:]
 
 
 class _Tracker:
-    """Wraps the objective: normalizes iterates, records improvements."""
+    """Evaluates the objective on the unit sphere and records every counted evaluation."""
 
     def __init__(self, n: int, p: float):
         self.n = n
@@ -105,22 +114,32 @@ class _Tracker:
         self.history = []
         self.anomalies = 0
 
-    def __call__(self, x: np.ndarray) -> float:
-        self.evaluations += 1
-        norm = float(np.linalg.norm(x))
-        if norm < DEGENERATE_MEAN:
-            return 2.0
-        xn = x / norm
-        ratio = bernstein_ratio(_coeffs_from_vector(xn, self.n), self.p)
-        if ratio < 0.0:
-            return 2.0
-        if ratio > RATIO_CEILING:
-            self.anomalies += 1
-        if ratio > self.best_ratio:
-            self.best_ratio = ratio
-            self.best_x = xn.copy()
-            self.history.append((self.evaluations, ratio))
-        return -ratio
+    def scan(self, trials: np.ndarray, budget: int):
+        """Yield -ratio of each row of ``trials`` in order (2.0 where degenerate), from one _ratios call.
+
+        Rows past ``budget`` evaluations are not evaluated. A row is counted
+        and recorded when it is read, so rows after the last one read are
+        dropped uncounted.
+        """
+        trials = trials[: max(budget - self.evaluations, 0)]
+        # one 1-D norm per row: the norm of a stack sums in another order
+        norms = np.array([np.linalg.norm(x) for x in trials])
+        live = ~(norms < DEGENERATE_MEAN)
+        units = trials / np.where(live, norms, 1.0)[:, None]
+        ratios = _ratios(_coeffs_from_vector(units[live], self.n), self.p)
+        for unit, ok in zip(units, live):
+            self.evaluations += 1
+            ratio = float(next(ratios)) if ok else -1.0
+            if ratio < 0.0:
+                yield 2.0
+                continue
+            if ratio > RATIO_CEILING:
+                self.anomalies += 1
+            if ratio > self.best_ratio:
+                self.best_ratio = ratio
+                self.best_x = unit
+                self.history.append((self.evaluations, ratio))
+            yield -ratio
 
 
 def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int):
@@ -136,37 +155,48 @@ def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int):
     2003). Compass steps keep making progress on the non-smooth p = 0 and
     p = inf objectives, and the extremal family itself is axis-aligned in the
     coefficient vector (middle coefficients go to zero).
+
+    Each batch of trials from one point goes to one _Tracker.scan (at p = 2
+    and inf, one stacked objective call): the axis trials left in the sweep,
+    read up to the first that improves, and the ride, as the chain it follows
+    if every stride is accepted, read up to the first stride that does not
+    improve. Trials after the last one read are dropped uncounted, so the
+    evaluations, history and result are those of trying one point at a time.
     """
     best_x = x / np.linalg.norm(x)
-    fx = tracker(best_x)
+    (fx,) = tracker.scan(best_x[None], budget)
     dim = x.shape[0]
     step = _COMPASS_STEP
     while step > 1e-9:
         improved = False
-        for i in range(dim):
-            for sign in (1.0, -1.0):
-                if tracker.evaluations >= budget:
-                    return
-                trial = best_x.copy()
+        axis = 0
+        while axis < dim:
+            if tracker.evaluations >= budget:
+                return
+            moves = [(i, sign) for i in range(axis, dim) for sign in (1.0, -1.0)]
+            trials = np.repeat(best_x[None], len(moves), axis=0)
+            for trial, (i, sign) in zip(trials, moves):
                 trial[i] += sign * step
-                ft = tracker(trial)
+            for trial, (i, sign), ft in zip(trials, moves, tracker.scan(trials, budget)):
                 if ft < fx - 1e-16:
-                    best_x, fx = trial / np.linalg.norm(trial), ft
-                    improved = True
-                    # ride the improving direction while it keeps paying
-                    stride = step
-                    for _ in range(10):
-                        if tracker.evaluations >= budget:
-                            return
-                        stride *= 2.0
-                        trial = best_x.copy()
-                        trial[i] += sign * stride
-                        ft = tracker(trial)
-                        if ft < fx - 1e-16:
-                            best_x, fx = trial / np.linalg.norm(trial), ft
-                        else:
-                            break
                     break
+            else:
+                break
+            best_x, fx = trial / np.linalg.norm(trial), ft
+            improved = True
+            # ride the improving direction while it keeps paying
+            ride, units, stride = [], [best_x], step
+            for _ in range(10):
+                stride *= 2.0
+                trial = units[-1].copy()
+                trial[i] += sign * stride
+                ride.append(trial)
+                units.append(trial / np.linalg.norm(trial))
+            for unit, ft in zip(units[1:], tracker.scan(np.array(ride), budget)):
+                if not ft < fx - 1e-16:
+                    break
+                best_x, fx = unit, ft
+            axis = i + 1
         if not improved:
             step *= 0.5
 
@@ -199,7 +229,8 @@ def maximize_ratio(
 
     Each restart draws its own Gaussian start from (seed, restart), so traces
     are reproducible per seed and independent of how restarts are scheduled;
-    ``jobs`` > 1 runs them in a process pool. ``budget`` caps function
+    ``jobs`` > 1 runs them in a process pool (None: one worker per core, up
+    to ``restarts``; jobs < 1 raises ValueError). ``budget`` caps function
     evaluations per restart; a search whose step reaches its floor first
     stops there.
     """
@@ -209,6 +240,8 @@ def maximize_ratio(
         raise ValueError("need at least one restart")
     if budget < 100:
         raise ValueError("budget below any useful search length")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1; got {jobs}")
     args = [(n, p, budget, seed, r) for r in range(restarts)]
     if jobs is None:
         jobs = min(os.cpu_count() or 1, restarts)
@@ -242,7 +275,7 @@ def maximize_ratio(
         n=n,
         p=float(p),
         best_ratio=float(best_ratio),
-        best_poly=_coeffs_from_vector(best_x, n),
+        best_poly=LaurentPolynomial(n, _coeffs_from_vector(best_x, n)),
         iterations=total_evals,
         history=monotone,
         anomaly_count=anomalies,

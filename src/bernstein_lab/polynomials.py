@@ -20,6 +20,7 @@ __all__ = [
     "RootSet",
     "from_roots",
     "laurent_from_algebraic",
+    "fft_on_grid",
     "horner",
     "horner_laurent",
     "horner_compensated",
@@ -94,25 +95,8 @@ class LaurentPolynomial:
         return self(np.exp(1j * np.asarray(t, dtype=float)))
 
     def on_grid(self, m: int, shift: float = 0.0) -> np.ndarray:
-        """Values T(e^{i t_k}) at the m angles t_k = 2 pi (k + shift) / m, by one FFT.
-
-        With the twisted coefficients b_j = a_j e^{2 pi i j shift / m} folded
-        mod m (c_r = sum of b_j over j = r mod m), T(e^{i t_k}) = sum_r c_r
-        e^{2 pi i r k / m}: one unscaled inverse FFT of length m. The folding is
-        the aliasing of exponents on m points, so m < 2n + 1 is exact too. Each
-        value errs by about u (2 + log2 m) sum |a_j| (twist, fold, FFT), less
-        than two-sided Horner at the rounded point e^{i t_k} for the n used
-        here, and costs O(log m) per point instead of O(n).
-        """
-        if m < 1:
-            raise ValueError("a grid needs at least one point")
-        j = np.arange(-self.n, self.n + 1)
-        b = self.coeffs
-        if shift:
-            b = b * np.exp(2j * np.pi * shift * j / m)
-        folded = np.zeros(m, dtype=complex)
-        np.add.at(folded, j % m, b)
-        return np.fft.ifft(folded, norm="forward")
+        """T(e^{i t_k}) at t_k = 2 pi (k + shift) / m: the one-row case of fft_on_grid."""
+        return fft_on_grid(self.coeffs[None], m, shift)[0]
 
     def derivative(self) -> "LaurentPolynomial":
         """d/dz, re-housed in the class of bound n + 1.
@@ -278,6 +262,27 @@ def laurent_from_algebraic(P: AlgebraicPolynomial, n: int) -> LaurentPolynomial:
     coeffs = np.zeros(2 * n + 1, dtype=complex)
     coeffs[: P.coeffs.shape[0]] = P.coeffs[: 2 * n + 1]
     return LaurentPolynomial(n, coeffs)
+
+
+def fft_on_grid(rows, m: int, shift: float) -> np.ndarray:
+    """T(e^{i t_k}) at t_k = 2 pi (k + shift) / m for each coefficient row (a_{-n}..a_n) of an array.
+
+    With the twisted coefficients b_j = a_j e^{2 pi i j shift / m} folded mod
+    m (c_r = sum of b_j over j = r mod m), T(e^{i t_k}) = sum_r c_r e^{2 pi i
+    r k / m}: one unscaled inverse FFT of length m per row. The folding is the
+    aliasing of exponents on m points, so m < 2n + 1 is exact too. Each value
+    errs by about u (2 + log2 m) sum |a_j| (twist, fold, FFT), less than
+    two-sided Horner at the rounded point e^{i t_k} for the n used here, and
+    costs O(log m) per point instead of O(n). No row's values depend on another.
+    """
+    if m < 1:
+        raise ValueError("a grid needs at least one point")
+    j = np.arange(rows.shape[1]) - rows.shape[1] // 2
+    if shift:
+        rows = rows * np.exp(2j * np.pi * shift * j / m)
+    folded = np.zeros((rows.shape[0], m), dtype=complex)
+    np.add.at(folded, (slice(None), j % m), rows)
+    return np.fft.ifft(folded, norm="forward")
 
 
 def horner(coeffs, z):

@@ -529,12 +529,15 @@ def run_sweep(
 
     ``opts`` may set tol, rel_tol and the claim's SWEEP_OPTIONS, and any other
     key raises ValueError; the rest keep their defaults. identity-3-2 sweeps
-    IDENTITY_3_2_GRID instead of spec's samples. With jobs > 1 the samples
-    are scored by a process pool; outputs are collected in index order, so
-    results do not depend on the pool size.
+    IDENTITY_3_2_GRID instead of spec's samples. With jobs > 1 (None: one
+    per core; below 1 raises ValueError) the samples are scored by a process
+    pool; outputs are collected in index order, so results do not depend on
+    the pool size.
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1; got {jobs}")
     unread = set(opts) - {"tol", "rel_tol", *SWEEP_OPTIONS.get(claim, ())}
     if unread:
         raise ValueError(f"{claim} does not read the sweep options {sorted(unread)}")

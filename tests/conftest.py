@@ -31,3 +31,13 @@ def sup_corpus():
         T, _ = sample_with_roots(spec, index)
         polys += [T, T.derivative()]
     return polys, monomials
+
+
+@pytest.fixture(scope="session")
+def sup_classes(sup_corpus):
+    """The sup corpus as stacks: {n: coefficient rows of every T of class n}."""
+    polys, monomials = sup_corpus
+    classes = {}
+    for T in polys + monomials:
+        classes.setdefault(T.n, []).append(T.coeffs)
+    return {n: np.array(rows) for n, rows in classes.items()}

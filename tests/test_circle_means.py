@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bernstein_lab.circle_means import (
+    _sups,
     logplus_integral,
     mahler_from_roots,
     mean,
@@ -225,6 +226,16 @@ class TestStackedSup:
             res = mean_inf(T)
             assert res.value == pytest.approx(1.5, rel=1e-14)
             assert res.err_estimate <= 1e-13 * res.value
+
+    def test_rows_do_not_depend_on_their_stack(self, sup_classes):
+        # each peak stops on its own step, so a row's value and err_estimate
+        # are those of its one-row call, bitwise
+        for rows in sup_classes.values():
+            values, errs = _sups(rows)
+            for k, row in enumerate(rows):
+                (value,), (err,) = _sups(row[None])
+                assert values[k].tobytes() == value.tobytes()
+                assert errs[k].tobytes() == err.tobytes()
 
     def test_polish_converges(self):
         rng = np.random.default_rng(5)

@@ -407,6 +407,59 @@ class TestExtremalCommand:
         assert "ceiling" in capsys.readouterr().err
 
 
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_verify_rejects_jobs_below_one_before_any_sample(
+        self, tmp_path, capsys, monkeypatch, jobs
+    ):
+        from bernstein_lab import verify
+
+        monkeypatch.setattr(verify, "_run_one", lambda *a: pytest.fail("a sample ran"))
+        out = tmp_path / "j.jsonl"
+        argv = ["verify", "--claim", "thm-1-1", "--n", "2", "--count", "8", "--jobs", jobs]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "j.jsonl.run.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_extremal_rejects_jobs_below_one_before_the_search(
+        self, tmp_path, capsys, monkeypatch, jobs
+    ):
+        from bernstein_lab import extremal
+
+        monkeypatch.setattr(extremal, "_one_restart", lambda *a: pytest.fail("the search ran"))
+        out = tmp_path / "trace.json"
+        argv = ["extremal", "--n", "1", "--p", "2", "--jobs", jobs, "--out", str(out)]
+        assert main(argv) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_jobs_below_one_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 0}))
+        out = tmp_path / "c.jsonl"
+        argv = ["verify", "--claim", "thm-1-1", "--n", "2", "--count", "2", "--config", str(cfg)]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_means_takes_no_jobs(self, poly_file, capsys):
+        # means runs in one process, so --jobs would be accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["means", poly_file, "--jobs", "4"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_library_rejects_jobs_below_one(self):
+        from bernstein_lab.extremal import maximize_ratio
+
+        spec = SampleSpec(n=2, distribution="roots-mixed", seed=1, count=2)
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs"):
+                run_sweep("thm-1-1", spec, jobs=jobs)
+            with pytest.raises(ValueError, match="jobs"):
+                maximize_ratio(1, 2.0, restarts=1, budget=100, jobs=jobs)
+
+
 class TestJsonIO:
     def test_float_17_digits(self):
         assert jsonio.dumps(0.1) == "0.10000000000000001"

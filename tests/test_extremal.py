@@ -5,13 +5,89 @@ import pytest
 
 from bernstein_lab.circle_means import _sups, mean_inf
 from bernstein_lab.extremal import (
+    DEGENERATE_MEAN,
+    RATIO_CEILING,
     RatioTrace,
+    _coeffs_from_vector,
     _compass_polish,
+    _ratios,
     _Tracker,
     bernstein_ratio,
     maximize_ratio,
 )
 from bernstein_lab.polynomials import LaurentPolynomial
+
+
+class SequentialTracker:
+    """The tracker that preceded batched sweeps, kept as reference: one objective call per trial.
+
+    ``phases`` names what each evaluation was: "start", "axis" or "ride".
+    """
+
+    def __init__(self, n, p):
+        self.n = n
+        self.p = p
+        self.evaluations = 0
+        self.best_ratio = -np.inf
+        self.best_x = None
+        self.history = []
+        self.anomalies = 0
+        self.phases = []
+
+    def __call__(self, x, phase):
+        self.evaluations += 1
+        self.phases.append(phase)
+        norm = float(np.linalg.norm(x))
+        if norm < DEGENERATE_MEAN:
+            return 2.0
+        xn = x / norm
+        ratio = bernstein_ratio(LaurentPolynomial(self.n, _coeffs_from_vector(xn, self.n)), self.p)
+        if ratio < 0.0:
+            return 2.0
+        if ratio > RATIO_CEILING:
+            self.anomalies += 1
+        if ratio > self.best_ratio:
+            self.best_ratio = ratio
+            self.best_x = xn.copy()
+            self.history.append((self.evaluations, ratio))
+        return -ratio
+
+
+def sequential_compass(n, p, x, budget):
+    """The compass search that preceded batched sweeps, kept as reference; returns its tracker."""
+    tracker = SequentialTracker(n, p)
+    best_x = x / np.linalg.norm(x)
+    fx = tracker(best_x, "start")
+    dim = x.shape[0]
+    step = 0.1
+    while step > 1e-9:
+        improved = False
+        for i in range(dim):
+            for sign in (1.0, -1.0):
+                if tracker.evaluations >= budget:
+                    return tracker
+                trial = best_x.copy()
+                trial[i] += sign * step
+                ft = tracker(trial, "axis")
+                if ft < fx - 1e-16:
+                    best_x, fx = trial / np.linalg.norm(trial), ft
+                    improved = True
+                    stride = step
+                    for _ in range(10):
+                        if tracker.evaluations >= budget:
+                            return tracker
+                        stride *= 2.0
+                        trial = best_x.copy()
+                        trial[i] += sign * stride
+                        ft = tracker(trial, "ride")
+                        if ft < fx - 1e-16:
+                            best_x, fx = trial / np.linalg.norm(trial), ft
+                        else:
+                            break
+                    break
+        if not improved:
+            step *= 0.5
+    return tracker
 
 
 class TestRatio:
@@ -67,6 +143,16 @@ class TestSupRatio:
             for j in (-n, n):
                 T = LaurentPolynomial.monomial(n, j, 0.5 - 2j)
                 assert bernstein_ratio(T, math.inf) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStackedObjective:
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_rows_match_one_row_calls(self, sup_classes, p):
+        for n, rows in sup_classes.items():
+            if n < 1:
+                continue
+            one_row = np.array([bernstein_ratio(LaurentPolynomial(n, row), p) for row in rows])
+            assert np.array(list(_ratios(rows, p))).tobytes() == one_row.tobytes()
 
 
 class TestMaximize:
@@ -135,3 +221,27 @@ class TestCompassPolish:
             histories.append(tracker.history)
         assert histories[0] == histories[1]
         assert len(histories[0]) > 10
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("p", [0.0, 2.0, math.inf])
+    def test_batched_search_repeats_the_sequential_one(self, n, p):
+        x = np.random.default_rng(50 + n).normal(size=2 * (2 * n + 1))
+        full = sequential_compass(n, p, x, 1000)
+
+        def last_stop_between(before, after):
+            # the last budget whose next evaluation, in the sequential search, is ``after``
+            phases = full.phases
+            pairs = zip(phases, phases[1:])
+            return [b for b, pair in enumerate(pairs, 1) if pair == (before, after)][-1:]
+
+        # stops mid-sweep, before a ride and mid-ride (rides of two or more strides happen early)
+        pairs = [("axis", "axis"), ("axis", "ride"), ("ride", "ride")]
+        inside = [last_stop_between(*pair) for pair in pairs]
+        for budget in sorted({100, 137, 1000}.union(*inside)):
+            ref = full if budget == 1000 else sequential_compass(n, p, x, budget)
+            tracker = _Tracker(n, p)
+            _compass_polish(tracker, x, budget)
+            assert tracker.evaluations == ref.evaluations
+            assert tracker.history == ref.history
+            assert tracker.anomalies == ref.anomalies
+            assert tracker.best_x.tobytes() == ref.best_x.tobytes()

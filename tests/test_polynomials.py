@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bernstein_lab.polynomials import (
     AlgebraicPolynomial,
     LaurentPolynomial,
+    fft_on_grid,
     from_roots,
     horner,
     horner_laurent,
@@ -128,6 +129,15 @@ class TestOnGrid:
                             w = mpmath.expjpi(2 * (k + mpmath.mpf(s)) / m)
                             exact = mpmath.polyval(coeffs[::-1], w) / w**T.n
                             assert abs(complex(exact) - fft[k]) <= bound
+
+    def test_stacked_rows_match_one_row_calls(self, sup_classes):
+        # a row's values do not depend on the other rows of its stack, bitwise
+        for n, rows in sup_classes.items():
+            for m in self.grid_sizes(n):
+                for s in (0.0, 0.5):
+                    stacked = fft_on_grid(rows, m, s)
+                    for row, values in zip(rows, stacked):
+                        assert values.tobytes() == LaurentPolynomial(n, row).on_grid(m, s).tobytes()
 
     def test_zero_polynomial(self):
         for n in (0, 3):
