@@ -317,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--config", help="JSON file of defaults; flags override it")
-        sp.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
         sp.add_argument("--out", default=None, help="output path")
 
     means = sub.add_parser("means", help="tabulate M_p of a polynomial file")
@@ -353,16 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(extremal)
     extremal.set_defaults(func=cmd_extremal)
     for sp in (verify, extremal):
+        sp.add_argument("--seed", type=int, default=None,
+                        help=f"RNG seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
         sp.add_argument("--jobs", type=int, default=None,
-                        help="worker processes, at least 1 (default: available parallelism)")
+                        help="worker processes, at least 1, never more than the tasks "
+                        "(default: one per core)")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

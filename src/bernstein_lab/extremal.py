@@ -12,8 +12,6 @@ as a brute-force confirmation that the bound is never exceeded.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +19,7 @@ import numpy as np
 from .circle_means import _sups, mean
 from .errors import NumericFailure
 from .polynomials import LaurentPolynomial
+from .tasks import run_in_order, task_rng
 
 __all__ = ["RatioTrace", "maximize_ratio", "bernstein_ratio"]
 
@@ -201,20 +200,11 @@ def _compass_polish(tracker: _Tracker, x: np.ndarray, budget: int):
             step *= 0.5
 
 
-def _one_restart(n: int, p: float, budget: int, seed: int, restart: int):
-    """One Gaussian start drawn from (seed, restart), then one _compass_polish."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(restart,))
-    )
+def _one_restart(n: int, p: float, budget: int, seed: int, restart: int) -> _Tracker:
+    """The tracker of one _compass_polish from the Gaussian start task_rng(seed, restart) draws."""
     tracker = _Tracker(n, p)
-    _compass_polish(tracker, rng.normal(size=2 * (2 * n + 1)), budget)
-    return (
-        tracker.best_ratio,
-        tracker.best_x,
-        tracker.evaluations,
-        tracker.history,
-        tracker.anomalies,
-    )
+    _compass_polish(tracker, task_rng(seed, restart).normal(size=2 * (2 * n + 1)), budget)
+    return tracker
 
 
 def maximize_ratio(
@@ -228,9 +218,10 @@ def maximize_ratio(
     """Best derivative-mean ratio over ``restarts`` pattern searches (_one_restart).
 
     Each restart draws its own Gaussian start from (seed, restart), so traces
-    are reproducible per seed and independent of how restarts are scheduled;
-    ``jobs`` > 1 runs them in a process pool (None: one worker per core, up
-    to ``restarts``; jobs < 1 raises ValueError). ``budget`` caps function
+    are reproducible per seed and independent of how restarts are scheduled.
+    The restarts are the tasks of tasks.run_in_order: ``jobs`` workers at
+    most (None: one per core), never more than the restarts, one of them in
+    this process, and below 1 raises ValueError. ``budget`` caps function
     evaluations per restart; a search whose step reaches its floor first
     stops there.
     """
@@ -240,29 +231,19 @@ def maximize_ratio(
         raise ValueError("need at least one restart")
     if budget < 100:
         raise ValueError("budget below any useful search length")
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1; got {jobs}")
-    args = [(n, p, budget, seed, r) for r in range(restarts)]
-    if jobs is None:
-        jobs = min(os.cpu_count() or 1, restarts)
-    if jobs <= 1 or restarts == 1:
-        results = [_one_restart(*a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_one_restart, *zip(*args)))
-
+    tasks = [(n, p, budget, seed, r) for r in range(restarts)]
     total_evals = 0
     offset_history = []
     best_ratio = -np.inf
     best_x = None
     anomalies = 0
-    for ratio, x, evals, history, anom in results:
-        offset_history.extend((i + total_evals, r) for i, r in history)
-        total_evals += evals
-        anomalies += anom
-        if x is not None and ratio > best_ratio:
-            best_ratio = ratio
-            best_x = x
+    for t in run_in_order(_one_restart, tasks, jobs):
+        offset_history.extend((i + total_evals, r) for i, r in t.history)
+        total_evals += t.evaluations
+        anomalies += t.anomalies
+        if t.best_x is not None and t.best_ratio > best_ratio:
+            best_ratio = t.best_ratio
+            best_x = t.best_x
     if best_x is None:
         raise NumericFailure("all restarts hit degenerate iterates only")
     running = -np.inf

@@ -12,8 +12,6 @@ witness for regression pinning.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -30,6 +28,7 @@ from .constructions import perturb_by_en, reflect_outside, smoothed_logplus, mu_
 from .errors import NumericFailure
 from .polynomials import LaurentPolynomial, RootSet, from_roots, laurent_from_algebraic
 from .rootfind import checked_roots, classify, roots
+from .tasks import run_in_order, task_rng
 
 __all__ = [
     "VerificationReport",
@@ -179,12 +178,6 @@ class SampleSpec:
             raise ValueError("need n >= 0 and count > 0")
 
 
-def _rng_for(spec: SampleSpec, index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=int(spec.seed) & (2**64 - 1), spawn_key=(index,))
-    )
-
-
 def sample_with_roots(
     spec: SampleSpec, index: int
 ) -> tuple[LaurentPolynomial, RootSet | None]:
@@ -198,11 +191,12 @@ def sample_with_roots(
     The checks therefore take the planted set only as a hint, through
     rootfind.checked_roots, which uses it when it factors the stored
     coefficients and solves them otherwise. coeff-gaussian has no generative
-    roots and returns None.
+    roots and returns None. The draws come from tasks.task_rng(spec.seed,
+    index), so a sample does not depend on the others or on the process.
     """
     if not 0 <= index < spec.count:
         raise ValueError(f"index {index} outside [0, {spec.count})")
-    rng = _rng_for(spec, index)
+    rng = task_rng(spec.seed, index)
     n = spec.n
     if spec.distribution == "coeff-gaussian":
         while True:
@@ -462,7 +456,7 @@ def check_monotone_p(
 
 
 def _check_identity_3_1(spec: SampleSpec, index: int) -> VerificationReport:
-    rng = _rng_for(spec, index)
+    rng = task_rng(spec.seed, index)
     v = 10.0 ** rng.uniform(-1.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     lhs = smoothed_logplus(v)
     rhs = max(math.log(abs(v)), 0.0)
@@ -529,36 +523,19 @@ def run_sweep(
 
     ``opts`` may set tol, rel_tol and the claim's SWEEP_OPTIONS, and any other
     key raises ValueError; the rest keep their defaults. identity-3-2 sweeps
-    IDENTITY_3_2_GRID instead of spec's samples. With jobs > 1 (None: one
-    per core; below 1 raises ValueError) the samples are scored by a process
-    pool; outputs are collected in index order, so results do not depend on
-    the pool size.
+    IDENTITY_3_2_GRID instead of spec's samples. The samples are the tasks
+    of tasks.run_in_order: ``jobs`` workers at most (None: one per core),
+    never more than the samples, one of them in this process, and below 1
+    raises ValueError. Reports come back in index order, so they do not
+    depend on the worker count.
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1; got {jobs}")
     unread = set(opts) - {"tol", "rel_tol", *SWEEP_OPTIONS.get(claim, ())}
     if unread:
         raise ValueError(f"{claim} does not read the sweep options {sorted(unread)}")
     count = len(IDENTITY_3_2_GRID) if claim == "identity-3-2" else spec.count
-    indices = range(count)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or count < 8:
-        return [_run_one(claim, spec, i, opts) for i in indices]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, count // (8 * jobs))
-        return list(
-            pool.map(
-                _run_one,
-                (claim for _ in indices),
-                (spec for _ in indices),
-                indices,
-                (opts for _ in indices),
-                chunksize=chunk,
-            )
-        )
+    return run_in_order(_run_one, [(claim, spec, i, opts) for i in range(count)], jobs)
 
 
 def summarize(reports: list[VerificationReport]) -> dict:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bernstein_lab import tasks
 from bernstein_lab.polynomials import LaurentPolynomial
 from bernstein_lab.verify import SampleSpec, sample_with_roots
 
@@ -41,3 +42,33 @@ def sup_classes(sup_corpus):
     for T in polys + monomials:
         classes.setdefault(T.n, []).append(T.coeffs)
     return {n: np.array(rows) for n, rows in classes.items()}
+
+
+@pytest.fixture(scope="session")
+def seed_sequence_rng():
+    """Reference for tasks.task_rng: the generator rule the sweeps and searches each spelled out."""
+
+    def rng(seed, index):
+        return np.random.default_rng(
+            np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(index,))
+        )
+
+    return rng
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of each pool tasks.run_in_order opens, in order.
+
+    Each recorded pool starts at most 2 real workers, so a runner that asked
+    for one worker per requested job could not fork dozens of processes.
+    """
+    sizes = []
+
+    class Recorder(tasks.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 2))
+
+    monkeypatch.setattr(tasks, "ProcessPoolExecutor", Recorder)
+    return sizes

@@ -444,9 +444,7 @@ class TestJobs:
 
     def test_means_takes_no_jobs(self, poly_file, capsys):
         # means runs in one process, so --jobs would be accepted and ignored
-        with pytest.raises(SystemExit) as exc:
-            main(["means", poly_file, "--jobs", "4"])
-        assert exc.value.code == 2
+        assert main(["means", poly_file, "--jobs", "4"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
     def test_library_rejects_jobs_below_one(self):
@@ -458,6 +456,26 @@ class TestJobs:
                 run_sweep("thm-1-1", spec, jobs=jobs)
             with pytest.raises(ValueError, match="jobs"):
                 maximize_ratio(1, 2.0, restarts=1, budget=100, jobs=jobs)
+
+
+class TestArgparseErrors:
+    # argparse's own usage errors come back from main as 2, like every other usage error
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["verify", "--claim", "thm-1-1", "--n", "x"], "--n"),
+            (["extremal", "--n", "x"], "--n"),
+            (["extremal", "--budget"], "--budget"),
+            (["verify", "--claim", "thm-1-1", "--bogus", "1"], "--bogus"),
+            (["means", None, "--n", "x"], "--n"),
+            # means draws nothing, so it takes no seed
+            (["means", None, "--seed", "3"], "--seed"),
+            ([], "command"),
+        ],
+    )
+    def test_return_2(self, poly_file, capsys, argv, named):
+        assert main([poly_file if a is None else a for a in argv]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestJsonIO:

@@ -1,9 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from bernstein_lab import extremal
 from bernstein_lab.circle_means import _sups, mean_inf
+from bernstein_lab.cli import main
 from bernstein_lab.extremal import (
     DEGENERATE_MEAN,
     RATIO_CEILING,
@@ -245,3 +248,37 @@ class TestCompassPolish:
             assert tracker.history == ref.history
             assert tracker.anomalies == ref.anomalies
             assert tracker.best_x.tobytes() == ref.best_x.tobytes()
+
+
+class TestTaskRunner:
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_trace_does_not_depend_on_jobs(self, tmp_path, restarts):
+        out = str(tmp_path / "trace.json")
+        argv = ["extremal", "--n", "2", "--p", "inf", "--restarts", str(restarts),
+                "--budget", "300", "--seed", "7", "--out", out]
+        traces = []
+        for jobs in ("1", "2", "3"):
+            assert main([*argv, "--jobs", jobs]) == 0
+            traces.append(open(out, "rb").read())
+        assert traces[1] == traces[0] and traces[2] == traces[0]
+
+    @pytest.mark.parametrize(
+        "restarts, jobs, sizes", [(1, 64, []), (3, 64, [3]), (2, None, [2]), (4, 3, [3])]
+    )
+    def test_workers_never_exceed_restarts(self, pool_sizes, monkeypatch, restarts, jobs, sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        pooled = maximize_ratio(1, 2.0, restarts=restarts, budget=100, seed=5, jobs=jobs)
+        assert pool_sizes == sizes
+        serial = maximize_ratio(1, 2.0, restarts=restarts, budget=100, seed=5, jobs=1)
+        assert pooled.to_json_dict() == serial.to_json_dict()
+
+    def test_starts_draw_what_the_seed_sequence_rule_drew(self, monkeypatch, seed_sequence_rng):
+        def traces():
+            return [
+                maximize_ratio(2, math.inf, restarts=3, budget=200, seed=seed, jobs=1).to_json_dict()
+                for seed in (0, 7001, -1, 2**64 + 5)
+            ]
+
+        now = traces()
+        monkeypatch.setattr(extremal, "task_rng", seed_sequence_rng)
+        assert now == traces()

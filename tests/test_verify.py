@@ -1,12 +1,16 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from bernstein_lab import verify
+from bernstein_lab.cli import main
 from bernstein_lab.constructions import reflect_outside
 from bernstein_lab.polynomials import LaurentPolynomial
 from bernstein_lab.rootfind import classify, roots
 from bernstein_lab.verify import (
+    DISTRIBUTIONS,
     SampleSpec,
     check_bernstein,
     check_equality_case,
@@ -16,6 +20,7 @@ from bernstein_lab.verify import (
     check_theorem_1_2,
     run_sweep,
     sample_polynomial,
+    sample_with_roots,
     summarize,
 )
 
@@ -305,3 +310,47 @@ class TestSweeps:
         summary = summarize(run_sweep("thm-1-1", spec, jobs=1))
         assert summary["worst"] is not None
         assert "polynomial" in summary["worst"].witness
+
+
+class TestTaskRunner:
+    @pytest.mark.parametrize("count", [1, 2, 5, 16])
+    def test_outputs_do_not_depend_on_jobs(self, tmp_path, count):
+        # task counts below, at and above the worker counts 2 and 3
+        out = str(tmp_path / "r.jsonl")
+        argv = ["verify", "--claim", "thm-1-1", "--n", "3", "--count", str(count),
+                "--seed", "11", "--out", out]
+        files = []
+        for jobs in ("1", "2", "3"):
+            assert main([*argv, "--jobs", jobs]) == 0
+            files.append([open(out + ext, "rb").read() for ext in ("", ".worst.json", ".run.json")])
+        assert files[1] == files[0] and files[2] == files[0]
+
+    @pytest.mark.parametrize(
+        "count, jobs, sizes",
+        [(1, 64, []), (2, 64, [2]), (5, 3, [3]), (16, 2, [2]), (3, None, [3]), (1, None, [])],
+    )
+    def test_workers_never_exceed_samples(self, pool_sizes, monkeypatch, count, jobs, sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        spec = SampleSpec(n=1, distribution="roots-mixed", seed=3, count=count)
+        pooled = run_sweep("identity-3-1", spec, jobs=jobs)
+        assert pool_sizes == sizes
+        assert pooled == run_sweep("identity-3-1", spec, jobs=1)
+
+    def test_samples_draw_what_the_seed_sequence_rule_drew(self, monkeypatch, seed_sequence_rng):
+        cases = [(dist, seed, i) for dist in DISTRIBUTIONS
+                 for seed in (0, 1000, 20260410, -1, 2**64 + 5) for i in (0, 3, 131)]
+
+        def draws():
+            out = []
+            for dist, seed, i in cases:
+                spec = SampleSpec(n=4, distribution=dist, seed=seed, count=i + 1)
+                T, planted = sample_with_roots(spec, i)
+                out.append(T.coeffs.tobytes())
+                if planted is not None:
+                    out.append(planted.roots.tobytes() + np.complex128(planted.leading).tobytes())
+                out.append(verify._check_identity_3_1(spec, i).lhs)
+            return out
+
+        now = draws()
+        monkeypatch.setattr(verify, "task_rng", seed_sequence_rng)
+        assert now == draws()
