@@ -32,9 +32,15 @@ __all__ = [
     "logplus_integral",
 ]
 
-# Roots closer to the circle than this get dedicated singular handling;
-# farther out, plain trapezoid refinement wins.
+# A zero closer to the circle than this sends the means whose integrands are
+# not smooth at it to the mapped pass, which resolves it at its angle; when
+# every zero is farther out, the uniform pass by FFT is cheaper.
 NEAR_CIRCLE_THRESHOLD = 1e-3
+# Once the mapped pass is taken, every zero this close to the circle is a
+# panel end: one inside a panel is resolved only by doubling the whole grid.
+# With three zeros at modulus 1.001, a band of 1e-3 left one inside, and the
+# pass took 85-171 times the nodes it takes with any band from 0.01 to 0.2.
+_PANEL_END_BAND = 0.05
 
 # Relative tolerance of every quadrature-backed mean, unless a caller sets one.
 DEFAULT_REL_TOL = 1e-10
@@ -53,8 +59,9 @@ class MeanResult:
     value: float
     err_estimate: float
     # the route taken: jensen-product (product formula over the zeros),
-    # trapezoid (node doubling), adaptive-singular (panels graded into zeros
-    # near the circle) or sampled-max (Newton-polished sup)
+    # trapezoid (node doubling on the uniform grid), adaptive-singular (node
+    # doubling on Kress's map into the zeros near the circle) or sampled-max
+    # (Newton-polished sup)
     method: str
 
 
@@ -76,10 +83,12 @@ def mahler_from_roots(R: RootSet) -> MeanResult:
     return MeanResult(p=0.0, value=value, err_estimate=err, method="jensen-product")
 
 
-def _near_circle_angles(R: RootSet) -> np.ndarray:
-    mods = np.abs(R.roots)
-    near = np.abs(mods - 1.0) <= NEAR_CIRCLE_THRESHOLD
-    return np.sort(np.angle(R.roots[near])) % TWO_PI
+def _panel_ends(R: RootSet) -> np.ndarray:
+    """Angles of the zeros within _PANEL_END_BAND of the circle, or none when no zero is near it."""
+    gap = np.abs(np.abs(R.roots) - 1.0)
+    if not np.any(gap <= NEAR_CIRCLE_THRESHOLD):
+        return np.zeros(0)
+    return np.angle(R.roots[gap <= _PANEL_END_BAND])
 
 
 def _abs_on_circle(T: LaurentPolynomial, rel_tol: float):
@@ -150,16 +159,17 @@ def _quadrature_means(
     """M_p of T for each p of ``ps`` (0 <= p < inf) by quadrature on the circle.
 
     The integrand is log|T| at p = 0 and |T|^p otherwise, scaled by the
-    largest coefficient. When z^n T has zeros within NEAR_CIRCLE_THRESHOLD of
-    the circle (``R``, read only then), p = 0 and every p that is not an
-    even integer, whose integrands are not smooth there, take Gauss-Legendre
-    panels graded into their angles, one pass per p, bisected until the
-    order-halved estimate meets rel_tol on the mean of the integrand
-    (absolute at p = 0, relative for p > 0). Every other p shares one
-    trapezoid doubling pass that evaluates |T| once per node; each stops once
-    its M_p moves by less than rel_tol relative, which at p = 0 is to
-    first order an absolute test on the mean of log|T|. |T| comes from
-    _abs_on_circle, by FFT on the doubling pass's grids.
+    largest coefficient. Two passes of one trapezoid doubling engine share
+    the p, each evaluating |T| once per node for all of its p, and each p
+    stops once its M_p moves by less than rel_tol relative, which at p = 0
+    is to first order an absolute test on the mean of log|T|. When z^n T has
+    a zero within NEAR_CIRCLE_THRESHOLD of the circle (``R``, read only
+    then), p = 0 and every p that is not an even integer, whose integrands
+    are not smooth there, share the pass of quadrature.singular_circle_mean,
+    whose panels end at the angles of every zero within _PANEL_END_BAND. The
+    rest share the uniform pass, whose grids are evaluated by FFT. |T| comes
+    from _abs_on_circle. err_estimate is the last refinement delta on M_p
+    plus 1e-13 relative.
     """
     _reject_zero(T)
     scale = float(np.max(np.abs(T.coeffs)))
@@ -172,39 +182,25 @@ def _quadrature_means(
         else:
             integrands.append(lambda abs_for, p=p: (abs_for(p) / scale) ** p)
             transforms.append(lambda raw, p=p: scale * max(raw, 0.0) ** (1.0 / p))
-    graded = [i for i, p in enumerate(ps) if not _smooth_at_zeros(p)]
-    angles = _near_circle_angles(R) if graded else np.zeros(0)
-    if not angles.size:
-        graded = []
+    mapped = [i for i, p in enumerate(ps) if not _smooth_at_zeros(p)]
+    ends = _panel_ends(R) if mapped else np.zeros(0)
+    mapped = mapped if ends.size else []
     out = [None] * len(ps)
-    for i in graded:
-        p = ps[i]
-        raw, raw_err = quad.singular_circle_mean(
-            lambda t, g=integrands[i]: g(at(t)), angles, 2 * T.n, rel_tol,
-            absolute=p == 0,
-        )
-        value = transforms[i](raw)
-        # the estimate on the mean of the integrand, carried to M_p
-        if p == 0:
-            err = value * (raw_err + 1e-13)
+    for chosen in (mapped, [i for i in range(len(ps)) if i not in mapped]):
+        if not chosen:
+            continue
+        args = (rel_tol, [transforms[i] for i in chosen], [integrands[i] for i in chosen])
+        if chosen is mapped:
+            values, errs = quad.singular_circle_mean(at, ends, _MAX_NODES, *args)[1:3]
         else:
-            err = value * raw_err / (p * max(raw, 1e-300))
-        out[i] = MeanResult(p=p, value=value, err_estimate=err, method="adaptive-singular")
-    smooth = [i for i, res in enumerate(out) if res is None]
-    if smooth:
-        _, values, errs, _ = quad.periodic_mean_doubling(
-            # the pass samples circle_grid(m, 0), then circle_grid(m, 1/2)
-            lambda t: at(t, (t.size, 0.5 if t[0] else 0.0)),
-            _START_NODES,
-            _MAX_NODES,
-            rel_tol,
-            transform=[transforms[i] for i in smooth],
-            integrands=[integrands[i] for i in smooth],
-        )
-        for i, value, err in zip(smooth, values, errs):
-            if ps[i] == 0:
-                err += value * 1e-13
-            out[i] = MeanResult(p=ps[i], value=value, err_estimate=err, method="trapezoid")
+            values, errs = quad.periodic_mean_doubling(
+                # the pass samples circle_grid(m, 0), then circle_grid(m, 1/2)
+                lambda t: at(t, (t.size, 0.5 if t[0] else 0.0)), _START_NODES, _MAX_NODES, *args
+            )[1:3]
+        route = "adaptive-singular" if chosen is mapped else "trapezoid"
+        for i, value, err in zip(chosen, values, errs):
+            err += value * 1e-13  # the rounding of the sums
+            out[i] = MeanResult(p=ps[i], value=value, err_estimate=err, method=route)
     return out
 
 
@@ -216,10 +212,11 @@ def mean_0_quadrature(
     ``R`` must hold zeros of the stored z^n T (see rootfind.checked_roots);
     only the angles of those near the circle are read. The route is
     _quadrature_means's at p = 0, and ``method`` names the one taken:
-    "adaptive-singular" for panels graded into zeros within
-    NEAR_CIRCLE_THRESHOLD of the circle (the log singularities are
-    integrable, so nothing is excluded), "trapezoid" otherwise. err_estimate
-    is the estimate reached plus 1e-13 relative.
+    "adaptive-singular" for the doubling pass on Kress's map into the zeros
+    near the circle when one lies within NEAR_CIRCLE_THRESHOLD (the log
+    singularities are integrable, so nothing is excluded), "trapezoid" for
+    the uniform pass otherwise. err_estimate is the last refinement delta
+    plus 1e-13 relative.
     """
     return _quadrature_means(T, [0.0], R, rel_tol)[0]
 
@@ -232,8 +229,9 @@ def mean_p(
 ) -> MeanResult:
     """M_p for finite p > 0 by quadrature of |T|^p: the one-element case of ``means``.
 
-    Non-even p take panels graded into zeros near the circle when there are
-    any, and trapezoid doubling otherwise (see _quadrature_means).
+    Non-even p take the doubling pass on Kress's map into the zeros near the
+    circle when there are any, and the uniform pass otherwise (see
+    _quadrature_means).
     ``roots_hint`` is taken as in ``means``.
     """
     if not p > 0 or math.isinf(p):
@@ -317,10 +315,11 @@ def means(
 
     p = 0 takes the product formula over the zeros of z^n T, p = inf the sup
     of mean_inf, and every p in between the circle quadrature that
-    mean_0_quadrature also runs: panels graded into zeros near the circle
-    for p that are not even integers (one pass per p), and one trapezoid
-    doubling pass shared by the rest, evaluating |T| once per node for all
-    of them while each keeps its own running sum and stopping level. The
+    mean_0_quadrature also runs: one doubling pass on Kress's map into the
+    zeros near the circle, shared by the p that are not even integers when
+    such zeros exist, and one uniform doubling pass shared by the rest. Each
+    pass evaluates |T| once per node for all of its p, while each p keeps
+    its own running sum and stopping level. The
     zeros are found at most once, and only when a p reads them: p = 0, or
     a finite p that is not an even integer. They are
     rootfind.checked_roots(T.to_algebraic(), roots_hint): ``roots_hint``,

@@ -106,7 +106,8 @@ def smoothed_logplus(v: complex) -> float:
     mean_0_quadrature on the Laurent polynomial v + z, whose z (v + z) has
     the zeros {0, -v}, to _SMOOTHING_REL_TOL. For |v| within
     NEAR_CIRCLE_THRESHOLD of 1 the integrand has a (near-)singular angle at
-    arg(-v), and panels graded into it keep full accuracy there.
+    arg(-v), and the pass on Kress's map, whose nodes cluster into it, keeps
+    full accuracy there.
     """
     v = complex(v)
     T = LaurentPolynomial(1, [0.0, v, 1.0])

@@ -1,15 +1,17 @@
 """Quadrature building blocks for integrands on the unit circle.
 
-Two engines cover every integrand shape the package meets:
+One engine computes every circle mean: trapezoid sums with node doubling
+(periodic_mean_doubling), the cheapest high-accuracy rule for smooth periodic
+integrands. singular_circle_mean runs it in the variable u of Kress's
+sigmoidal map (graded_edges), which splits the circle at given singular
+angles and clusters the nodes into both ends of every panel: an integrand
+with log-type or |t|^alpha singularities at those angles becomes smooth and
+periodic in u, and the trapezoid rule converges fast again (Kress, Numer.
+Math. 58, 1990; Trefethen and Weideman, SIAM Review 56, 2014).
 
-* uniform trapezoid sums with node doubling (periodic_mean_doubling), the
-  cheapest high-accuracy rule for smooth periodic integrands;
-* adaptive Gauss-Legendre panels (adaptive_gl), bisected where an
-  order-halved rule disagrees, for integrands with kinks or integrable
-  singularities at or near known points. singular_circle_mean feeds it
-  panels that graded_edges grades geometrically into singular angles
-  (log-type or |t|^alpha), down to slivers 256 ulps wide; a
-  piecewise-smooth integrand gets its kinks as panel ends.
+Adaptive Gauss-Legendre panels (adaptive_gl) serve the piecewise-smooth
+integrands whose kinks are found by bisection (bisect_roots) and given as
+panel ends, where a map buys no nodes.
 
 All functions take vectorized callables: f(ndarray of angles) -> ndarray.
 """
@@ -33,17 +35,16 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-# graded_edges: each subpanel toward a singular end is this fraction of the
-# one before, down to a sliver of at most 256 ulps of the endpoint scale.
-_GRADING_RATIO = 0.3
+# Order q of Kress's map in graded_edges: the integrand times dt/du vanishes
+# like u^(q-1) at each panel end.
+_MAP_ORDER = 6
+# singular_circle_mean's first nodes per panel: from 16, the first grids of a long panel
+# can agree by chance (M_0.25 of a roots-on-circle T stopped 5e-10 relative off).
+_PANEL_START_NODES = 32
 # Gauss-Legendre order of adaptive_gl's panels, checked against half this order.
 _PANEL_ORDER = 16
-# Refinement limits of adaptive_gl. Panels below this width are, in
-# singular_circle_mean, the innermost slivers at a singular angle: there the
-# order-halved estimate stays a fixed fraction of the panel's integral
-# however far it is split, while that integral is itself below about 1e-10.
-# The panel cap bounds the integrand values at about 4 * 10^5.
-_MIN_PANEL_WIDTH = 1e-12
+# Refinement limit of adaptive_gl: the panel cap bounds the integrand values
+# at about 4 * 10^5.
 _MAX_PANELS = 1 << 14
 # bisect_roots halvings: 50 take a panel of width up to 2 pi below 1e-14.
 _BISECT_STEPS = 50
@@ -108,34 +109,33 @@ def periodic_mean_doubling(
     return raw, prev, err, n
 
 
-def graded_edges(a: float, b: float, max_width: float) -> np.ndarray:
-    """Subpanel edges over [a, b], grading geometrically into both ends.
+def graded_edges(u: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Kress's sigmoidal map at the angles u in [0, 2pi): one row (t, dt/du) per node.
 
-    Each half [lo, hi] grades toward its end of the panel by _GRADING_RATIO
-    down to an innermost sliver of 0.3 to 1 times 256 ulps of its endpoint
-    scale max(|lo|, |hi|, 1): wide enough that Gauss nodes cannot round onto
-    the end, and with an integrable endpoint singularity its Gauss-Legendre
-    value is accurate enough that nothing needs to be dropped. Every subpanel
-    is then split into equal pieces at most max_width wide, so
-    oscillatory-but-smooth stretches stay resolved.
+    The sorted angles ``ends`` split the circle into panels [a, b] of length
+    L = b - a, the last one wrapping past 2pi. Panel k takes the k-th of
+    len(ends) equal shares of u, and maps its fraction s in [0, 1) to
+    t = a + L w(s), where w(s) = v(s)^q / (v(s)^q + v(1 - s)^q),
+    v(s) = (1/q - 1/2)(1 - 2s)^3 + (2s - 1)/q + 1/2 and q = _MAP_ORDER.
+    For s > 1/2, t = b - L w(1 - s), so both ends keep their resolution.
+    w' vanishes to order q - 1 at both ends, and so does the weight dt/du;
+    a node whose t rounds onto a panel end gets weight 0.
     """
-    if b <= a:
-        raise ValueError("empty panel")
-    mid = 0.5 * (a + b)
-    halves = []
-    # both halves grade toward lo; the right one is mirrored, less its midpoint
-    for lo, hi in ((a, mid), (mid, b)):
-        h = hi - lo
-        sliver = 256.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0) / h
-        levels = max(int(np.ceil(np.log(sliver) / np.log(_GRADING_RATIO))), 1)
-        edges = np.concatenate([[lo], lo + h * _GRADING_RATIO ** np.arange(levels, -1, -1)])
-        width = np.diff(edges)
-        pieces = np.maximum(np.ceil(width / max_width), 1).astype(int)
-        sub = np.repeat(np.arange(width.shape[0]), pieces)
-        k = np.arange(1, sub.shape[0] + 1) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-        halves.append(np.concatenate([[lo], edges[:-1][sub] + width[sub] * k / pieces[sub]]))
-    left, right = halves
-    return np.concatenate([left, (mid + b - right)[-2::-1]])
+    q, share = _MAP_ORDER, ends.size / TWO_PI
+    x = np.asarray(u, dtype=float) * share
+    k = np.minimum(np.floor(x).astype(int), ends.size - 1)
+    s = x - k
+    a = ends[k]
+    length = np.diff(np.append(ends, ends[0] + TWO_PI))[k]
+    # v(1 - s) = 1 - v(s) and w'(1 - s) = w'(s): evaluate at the nearer end
+    c = 1.0 - 2.0 * np.minimum(s, 1.0 - s)
+    v = (1.0 / q - 0.5) * c**3 - c / q + 0.5
+    vq, rest = v**q, (1.0 - v) ** q
+    offset = length * vq / (vq + rest)
+    t = np.where(s <= 0.5, a + offset, a + length - offset)
+    dv = 2.0 / q - 6.0 * (1.0 / q - 0.5) * c**2
+    dt = length * share * q * dv * (v * (1.0 - v)) ** (q - 1) / (vq + rest) ** 2
+    return np.stack([t, np.where((t == a) | (t == a + length), 0.0, dt)], axis=1)
 
 
 def panel_integrals(f, lo: np.ndarray, hi: np.ndarray, orders) -> list[np.ndarray]:
@@ -164,10 +164,9 @@ def adaptive_gl(f, a, b, tol: float, absolute: bool):
     estimated by an order-halved re-evaluation, and panels whose estimate
     exceeds their width's share of the tolerance are bisected until the total
     meets ``tol`` on the integral divided by the panels' total width
-    (absolute when ``absolute``, relative to it otherwise). Panels narrower
-    than _MIN_PANEL_WIDTH are not split; nor is anything once _MAX_PANELS is
-    reached. Returns (integral, err_estimate), the estimate being the one
-    reached when refinement stopped.
+    (absolute when ``absolute``, relative to it otherwise), or until
+    _MAX_PANELS is reached. Returns (integral, err_estimate), the estimate
+    being the one reached when refinement stopped.
     """
     lo = np.atleast_1d(np.asarray(a, dtype=float))
     hi = np.atleast_1d(np.asarray(b, dtype=float))
@@ -179,7 +178,7 @@ def adaptive_gl(f, a, b, tol: float, absolute: bool):
         scale = 1.0 if absolute else abs(np.sum(fine)) / width
         if np.sum(err) <= tol * scale * width:
             break
-        split = (err > tol * scale * (hi - lo)) & (hi - lo > _MIN_PANEL_WIDTH)
+        split = err > tol * scale * (hi - lo)
         if not np.any(split) or lo.shape[0] + np.count_nonzero(split) > _MAX_PANELS:
             break
         mid = 0.5 * (lo[split] + hi[split])
@@ -196,36 +195,36 @@ def adaptive_gl(f, a, b, tol: float, absolute: bool):
 def singular_circle_mean(
     f,
     angles: np.ndarray,
-    oscillation_degree: int,
+    max_nodes: int,
     rel_tol: float,
-    absolute: bool,
+    transform,
+    integrands,
 ):
-    """Mean of f over [0, 2pi) with panels graded into each angle in ``angles``.
+    """Means of k integrands over [0, 2pi) with singularities at the given angles.
 
-    The circle is split at the given (singular) angles into panels that
-    graded_edges grades into both of their ends, with subpanels at most
-    min(0.5, pi / (degree + 2)) wide so smooth stretches stay resolved for
-    integrands oscillating on the scale of the given degree.
-    The panels are refined by adaptive_gl until the estimate meets ``rel_tol``
-    on the mean (absolute when ``absolute``, relative to it otherwise).
-    Returns (mean, err_estimate).
+    periodic_mean_doubling in the variable u of graded_edges, whose panels
+    end at the given angles (one within 1e-12 of the one before is merged
+    into it), from _PANEL_START_NODES nodes per panel: the mean over t of
+    integrands[i](f(t)) is the mean over u of integrands[i](f(t(u))) t'(u).
+    f is called with the mapped angles t of each grid, less those of weight
+    0; the other arguments and the results are periodic_mean_doubling's.
     """
     a = np.sort(np.asarray(angles, dtype=float) % TWO_PI)
-    keep = [a[0]]
-    for x in a[1:]:
-        if x - keep[-1] > 1e-12:
-            keep.append(x)
-    a = np.asarray(keep)
-    brk = np.concatenate([a, [a[0] + TWO_PI]])
-    max_width = min(0.5, np.pi / (oscillation_degree + 2))
-    pieces = [
-        graded_edges(lo, hi, max_width)
-        for lo, hi in zip(brk[:-1], brk[1:])
-        if hi > lo
-    ]
-    edges = np.concatenate([e if i == 0 else e[1:] for i, e in enumerate(pieces)])
-    total, err = adaptive_gl(f, edges[:-1], edges[1:], rel_tol, absolute)
-    return total / TWO_PI, err / TWO_PI
+    ends = a[np.concatenate([[True], np.diff(a) > 1e-12])]
+
+    def mapped(u):
+        t, dt = graded_edges(u, ends).T
+        inner = dt > 0
+        return f(t[inner]), dt[inner]
+
+    return periodic_mean_doubling(
+        mapped,
+        _PANEL_START_NODES * ends.size,
+        max_nodes,
+        rel_tol,
+        transform,
+        [lambda shared, g=g: g(shared[0]) * shared[1] for g in integrands],
+    )
 
 
 def bisect_roots(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -3,9 +3,9 @@
 bench/tracing.py installs its layers from outside the library: it reads
 periodic_mean_doubling's max_nodes as its third positional argument and
 counts the points of every integrand call as the size of its one ndarray
-argument. These tests run a small means call and a small verify call under
-its Tracer, so a change to those names or call shapes shows here and not
-only in a benchmark run.
+argument. These tests run a small means call, a logplus_integral call and a
+small verify call under its Tracer, so a change to those names or call
+shapes shows here and not only in a benchmark run.
 """
 
 import importlib.util
@@ -28,8 +28,9 @@ def _tracing_module():
 
 def test_every_layer_is_installed_and_counts_its_points(tmp_path, capsys):
     tracing = _tracing_module()
-    # a zero 1e-6 inside the circle sends p = 0.5 to the graded panels,
-    # while p = 2 takes the trapezoid doubling pass
+    # a zero 1e-6 inside the circle sends p = 0.5 to the mapped pass of
+    # singular_circle_mean, while p = 2 takes the uniform doubling pass;
+    # logplus_integral reaches adaptive_gl and bisect_roots
     zeros = np.array([(1 - 1e-6) * np.exp(0.7j), 0.3, -2.0 + 1j, 0.5j])
     T = laurent_from_algebraic(from_roots(1.5, zeros), 2)
     tracer = tracing.Tracer()
@@ -39,6 +40,7 @@ def test_every_layer_is_installed_and_counts_its_points(tmp_path, capsys):
         assert installed
         assert all(getattr(owner, attr) is not fn for owner, attr, fn in installed)
         results = circle_means.means(T, [0.5, 2.0])
+        circle_means.logplus_integral(T)
         out = tmp_path / "v.jsonl"
         argv = ["verify", "--claim", "thm-1-1", "--n", "3", "--count", "2", "--jobs", "1"]
         assert cli.main([*argv, "--seed", "4", "--out", str(out)]) == 0

@@ -130,6 +130,59 @@ class TestMean0Quadrature:
         assert abs(mj.value - mq.value) <= mj.err_estimate + mq.err_estimate + 1e-9 * mj.value
 
 
+class TestPanelEndBand:
+    """Three zeros at modulus 1.001: the stored zeros sit within 1e-16 of the
+    NEAR_CIRCLE_THRESHOLD of 1e-3, on both sides. Each must be a panel end
+    of the mapped pass, or the one left inside a panel is resolved only by
+    doubling the whole grid."""
+
+    ANGLES = (0.5, 2.0, 4.2)
+
+    @pytest.fixture
+    def case(self):
+        zeros = 1.001 * np.exp(1j * np.array(self.ANGLES))
+        T = laurent_from_algebraic(from_roots(1.0, zeros), 2)
+        return T, roots(T.to_algebraic())
+
+    @pytest.fixture
+    def nodes(self, monkeypatch):
+        from bernstein_lab import quadrature
+
+        seen = []
+        doubling = quadrature.periodic_mean_doubling
+
+        def counting(*args):
+            out = doubling(*args)
+            seen.append(out[3])
+            return out
+
+        monkeypatch.setattr(quadrature, "periodic_mean_doubling", counting)
+        return seen
+
+    def test_geometric_mean_matches_product_formula(self, case, nodes):
+        T, R = case
+        res = mean_0_quadrature(T, R)
+        assert res.method == "adaptive-singular"
+        assert res.value == pytest.approx(mahler_from_roots(R).value, rel=1e-10)
+        assert res.err_estimate <= 1e-10 * res.value
+        assert nodes == [768]
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_power_means_match_mpmath(self, case, nodes, p):
+        mpmath = pytest.importorskip("mpmath")
+        T, R = case
+        res = mean_p(T, p, roots_hint=R)
+        with mpmath.workdps(20):
+            coeffs = [mpmath.mpc(c.real, c.imag) for c in T.coeffs[::-1]]
+            ends = [0, *self.ANGLES, 2 * mpmath.pi]
+            integral = mpmath.quad(lambda t: abs(mpmath.polyval(coeffs, mpmath.expj(t))) ** p, ends)
+            oracle = float((integral / (2 * mpmath.pi)) ** (1 / p))
+        assert res.method == "adaptive-singular"
+        assert res.value == pytest.approx(oracle, rel=1e-10)
+        assert res.err_estimate <= 1e-10 * res.value
+        assert len(nodes) == 1 and nodes[0] <= 1024
+
+
 class TestMeanInf:
     def test_monomial(self):
         assert mean_inf(LaurentPolynomial.monomial(5, 5)).value == pytest.approx(1.0)
@@ -319,6 +372,28 @@ class TestSharedLadder:
                             b.value, b.err_estimate, b.method
                         ), (dist, n, index, a.p)
         assert seen_compensated and seen_near
+
+    def test_near_zero_means_share_one_mapped_pass(self, monkeypatch):
+        # a zero 1e-6 inside the circle: every p of the ladder takes the
+        # mapped pass, and one call serves them all
+        from bernstein_lab import quadrature
+
+        calls = []
+        mapped = quadrature.singular_circle_mean
+        monkeypatch.setattr(
+            quadrature, "singular_circle_mean", lambda *a: calls.append(1) or mapped(*a)
+        )
+        zeros = np.array([(1 - 1e-6) * np.exp(0.7j), 0.3, -2.0 + 1j, 0.5j])
+        T = laurent_from_algebraic(from_roots(1.5, zeros), 2)
+        R = roots(T.to_algebraic())
+        ps = [0.01, 0.1, 0.5, 1.0]
+        ladder = means(T, ps, roots_hint=R)
+        assert len(calls) == 1
+        for p, a in zip(ps, ladder):
+            b = mean_p(T, p, roots_hint=R)
+            assert a.method == b.method == "adaptive-singular"
+            assert abs(a.value - b.value) <= max(a.err_estimate, b.err_estimate)
+        assert len(calls) == 1 + len(ps)
 
     def test_order_and_repeats_kept(self):
         rng = np.random.default_rng(8)

@@ -31,47 +31,47 @@ class TestPeriodicDoubling:
         assert val[0] == pytest.approx(1.0, abs=1e-12)
 
 
-class TestGradedPanels:
+def mapped_panel_integral(f, ends, panels, m):
+    """Trapezoid sum in u of f(t) dt/du over the first ``panels`` panels of graded_edges(., ends)."""
+    u = quad.circle_grid(m)
+    t, dt = quad.graded_edges(u, np.asarray(ends, dtype=float)).T
+    inside = (u < panels * quad.TWO_PI / len(ends)) & (dt > 0)
+    return quad.TWO_PI / m * float(np.sum(f(t[inside]) * dt[inside]))
+
+
+class TestKressMap:
+    """The trapezoid rule in u on Kress's map of order 6 errs like h^6:
+    64 times less per doubling, for end singularities and kinks alike."""
+
     def test_log_singularity_at_endpoint(self):
         # int_0^1 log(x) dx = -1
-        edges = quad.graded_edges(0.0, 1.0, max_width=0.5)
-        (panels,) = quad.panel_integrals(np.log, edges[:-1], edges[1:], (16,))
-        value = float(np.sum(panels))
+        value = mapped_panel_integral(np.log, [0.0, 1.0], 1, 1024)
         assert value == pytest.approx(-1.0, abs=1e-12)
 
     def test_both_ends_singular(self):
         # int_0^1 log(x(1-x)) dx = -2
-        edges = quad.graded_edges(0.0, 1.0, max_width=0.5)
-        (panels,) = quad.panel_integrals(
-            lambda x: np.log(x * (1.0 - x)), edges[:-1], edges[1:], (16,)
-        )
-        value = float(np.sum(panels))
+        value = mapped_panel_integral(lambda x: np.log(x * (1.0 - x)), [0.0, 1.0], 1, 1024)
         assert value == pytest.approx(-2.0, abs=1e-12)
 
-    def test_width_cap(self):
-        edges = quad.graded_edges(0.0, 4.0, max_width=0.5)
-        assert np.max(np.diff(edges)) <= 0.5 + 1e-15
+    def test_kink_at_a_panel_end(self):
+        # int_{-1}^{1} |x| dx = 1, the kink at the end shared by the first two panels
+        value = mapped_panel_integral(np.abs, [-1.0, 0.0, 1.0], 2, 1536)
+        assert value == pytest.approx(1.0, abs=1e-13)
 
-    def test_mesh_shape_on_circle_panels(self):
-        # increasing edges, widths capped, and at each end an innermost sliver
-        # of 0.3 x to 1 x 256 ulps of the scale of that end's half-panel
-        rng = np.random.default_rng(5)
-        ends = rng.uniform(0.0, quad.TWO_PI, (200, 2))
-        panels = [tuple(np.sort(e)) for e in ends if abs(e[1] - e[0]) >= 1e-6]
-        panels += [(0.0, 1e-6), (0.0, 0.7), (3.0, quad.TWO_PI), (quad.TWO_PI - 1e-6, quad.TWO_PI)]
-        panels += [(0.0, quad.TWO_PI), (1.0, 1.0 + 1e-6)]
-        for a, b in panels:
-            for w in (0.5, np.pi / 18, np.pi / 66):
-                edges = quad.graded_edges(a, b, w)
-                widths = np.diff(edges)
-                assert np.all(widths > 0)
-                assert np.max(widths) <= w * (1 + 1e-12)
-                eps = np.finfo(float).eps
-                slack = 4 * eps * max(abs(a), abs(b), 1.0)
-                mid = 0.5 * (a + b)
-                for sliver, end in ((widths[0], a), (widths[-1], b)):
-                    ulp = eps * max(abs(end), abs(mid), 1.0)
-                    assert 0.3 * 256 * ulp - slack <= sliver <= 256 * ulp + slack
+    def test_map_covers_the_circle(self):
+        # one row (t, dt/du) per node; t runs from each end to the next, the
+        # weights average to 1 (the map takes [0, 2pi) onto a period), and a
+        # node on a panel end has weight 0
+        ends = np.array([0.4, 1.0, 4.0])
+        u = quad.circle_grid(1536)
+        rows = quad.graded_edges(u, ends)
+        assert rows.shape == (1536, 2)
+        t, dt = rows.T
+        assert np.all(np.diff(t) >= 0)
+        assert t[0] == 0.4 and t[-1] < 0.4 + quad.TWO_PI
+        assert np.all(t[::512] == ends) and np.all(dt[::512] == 0)
+        assert np.all(dt[dt != 0] > 0)
+        assert np.mean(dt) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAdaptiveGL:
@@ -96,21 +96,44 @@ class TestAdaptiveGL:
 
 
 class TestSingularCircleMean:
+    @staticmethod
+    def log_mean(f, angles):
+        raw, value, err, nodes = quad.singular_circle_mean(
+            f, np.asarray(angles), 1 << 20, 1e-10, [np.exp], [lambda v: v]
+        )
+        return raw[0], err[0], nodes
+
     def test_geometric_mean_of_distance_to_one(self):
         # (1/2pi) int log|e^{it} - 1| dt = 0: the circle's own log-potential
-        value, err = quad.singular_circle_mean(
-            lambda t: np.log(np.abs(np.exp(1j * t) - 1.0)), np.array([0.0]), 2,
-            rel_tol=1e-10, absolute=True,
-        )
+        value, err, nodes = self.log_mean(lambda t: np.log(np.abs(np.exp(1j * t) - 1.0)), [0.0])
         assert value == pytest.approx(0.0, abs=1e-12)
+        assert err <= 1e-10 and nodes <= 1024
 
     def test_shifted_singularity(self):
         a = 0.7
-        value, _ = quad.singular_circle_mean(
-            lambda t: np.log(np.abs(np.exp(1j * t) - np.exp(1j * a))), np.array([a]), 2,
-            rel_tol=1e-10, absolute=True,
+        value, _, _ = self.log_mean(
+            lambda t: np.log(np.abs(np.exp(1j * t) - np.exp(1j * a))), [a, a + 1e-13]
         )
         assert value == pytest.approx(0.0, abs=1e-12)
+
+    def test_periodic_kinks(self):
+        # (1/2pi) int |sin t| dt = 2 / pi, kinks at 0 and pi
+        _, value, err, _ = quad.singular_circle_mean(
+            np.sin, np.array([np.pi, 0.0]), 1 << 20, 1e-12, [lambda x: x], [np.abs]
+        )
+        assert value[0] == pytest.approx(2.0 / np.pi, rel=1e-12)
+        assert err[0] <= 1e-12 * value[0]
+
+    def test_integrands_share_one_pass(self):
+        # each integrand keeps its own sum and stopping level, so sharing the
+        # pass gives bitwise the values of one pass per integrand
+        f = lambda t: np.abs(np.exp(1j * t) - 1.0)
+        integrands = [lambda v: np.log(v), lambda v: v**0.5, lambda v: v**3]
+        transforms = [np.exp, lambda x: x**2, lambda x: x ** (1 / 3)]
+        both = quad.singular_circle_mean(f, np.array([0.0]), 1 << 20, 1e-10, transforms, integrands)
+        for i, (tr, g) in enumerate(zip(transforms, integrands)):
+            one = quad.singular_circle_mean(f, np.array([0.0]), 1 << 20, 1e-10, [tr], [g])
+            assert [r[i] for r in both[:3]] == [r[0] for r in one[:3]]
 
 
 class TestBisect:
