@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .polynomials import LaurentPolynomial, fft_on_grid, horner_compensated
-from .rootfind import RootSet, checked_roots
+from .rootfind import RootSet, _refined, checked_roots
 
 __all__ = [
     "DEFAULT_REL_TOL",
@@ -83,12 +83,17 @@ def mahler_from_roots(R: RootSet) -> MeanResult:
     return MeanResult(p=0.0, value=value, err_estimate=err, method="jensen-product")
 
 
-def _panel_ends(R: RootSet) -> np.ndarray:
-    """Angles of the zeros within _PANEL_END_BAND of the circle, or none when no zero is near it."""
+def _panel_ends(T: LaurentPolynomial, R: RootSet) -> np.ndarray:
+    """Angles of the zeros within _PANEL_END_BAND of the circle, or none when no zero is near it.
+
+    R may sit up to about MAX_RESIDUAL off the zeros of the stored z^n T (a planted set
+    does), so they first take rootfind's compensated-Horner Aberth steps onto those: a
+    singularity that far inside a panel is resolved only after grids that agree without it.
+    """
     gap = np.abs(np.abs(R.roots) - 1.0)
     if not np.any(gap <= NEAR_CIRCLE_THRESHOLD):
         return np.zeros(0)
-    return np.angle(R.roots[gap <= _PANEL_END_BAND])
+    return np.angle(_refined(T.coeffs, R.roots[gap <= _PANEL_END_BAND]))
 
 
 def _abs_on_circle(T: LaurentPolynomial, rel_tol: float):
@@ -159,48 +164,51 @@ def _quadrature_means(
     """M_p of T for each p of ``ps`` (0 <= p < inf) by quadrature on the circle.
 
     The integrand is log|T| at p = 0 and |T|^p otherwise, scaled by the
-    largest coefficient. Two passes of one trapezoid doubling engine share
-    the p, each evaluating |T| once per node for all of its p, and each p
-    stops once its M_p moves by less than rel_tol relative, which at p = 0
-    is to first order an absolute test on the mean of log|T|. When z^n T has
-    a zero within NEAR_CIRCLE_THRESHOLD of the circle (``R``, read only
-    then), p = 0 and every p that is not an even integer, whose integrands
-    are not smooth there, share the pass of quadrature.singular_circle_mean,
-    whose panels end at the angles of every zero within _PANEL_END_BAND. The
-    rest share the uniform pass, whose grids are evaluated by FFT. |T| comes
-    from _abs_on_circle. err_estimate is the last refinement delta on M_p
-    plus 1e-13 relative.
+    largest coefficient; |T| comes from _abs_on_circle. Two passes of one
+    trapezoid doubling engine share the p, each evaluating |T| once per node
+    for all of its p, and each p stops once its M_p is within rel_tol
+    relative (at p = 0, to first order an absolute test on the mean of
+    log|T|). When z^n T has a zero within NEAR_CIRCLE_THRESHOLD of the
+    circle (``R``, read only then), p = 0 and the p that are not even
+    integers share the mapped pass, quadrature.singular_circle_mean, on the
+    ends of _panel_ends; the rest share the uniform pass, by FFT.
+    err_estimate is the engine's estimate on M_p plus 1e-13 relative.
     """
     _reject_zero(T)
     scale = float(np.max(np.abs(T.coeffs)))
     at = _abs_on_circle(T, rel_tol)
-    integrands, transforms = [], []
-    for p in ps:
-        if p == 0:
-            integrands.append(lambda abs_for: np.log(np.maximum(abs_for(0.0) / scale, 1e-300)))
-            transforms.append(lambda raw: scale * math.exp(raw))
-        else:
-            integrands.append(lambda abs_for, p=p: (abs_for(p) / scale) ** p)
-            transforms.append(lambda raw, p=p: scale * max(raw, 0.0) ** (1.0 / p))
-    mapped = [i for i, p in enumerate(ps) if not _smooth_at_zeros(p)]
-    ends = _panel_ends(R) if mapped else np.zeros(0)
-    mapped = mapped if ends.size else []
     out = [None] * len(ps)
-    for chosen in (mapped, [i for i in range(len(ps)) if i not in mapped]):
-        if not chosen:
-            continue
-        args = (rel_tol, [transforms[i] for i in chosen], [integrands[i] for i in chosen])
-        if chosen is mapped:
-            values, errs = quad.singular_circle_mean(at, ends, _MAX_NODES, *args)[1:3]
-        else:
-            values, errs = quad.periodic_mean_doubling(
-                # the pass samples circle_grid(m, 0), then circle_grid(m, 1/2)
-                lambda t: at(t, (t.size, 0.5 if t[0] else 0.0)), _START_NODES, _MAX_NODES, *args
-            )[1:3]
-        route = "adaptive-singular" if chosen is mapped else "trapezoid"
-        for i, value, err in zip(chosen, values, errs):
+
+    def terms(chosen):  # the transforms and integrands of the p at these indices
+        transforms, integrands = [], []
+        for p in (ps[i] for i in chosen):
+            if p == 0:
+                transforms.append(lambda raw: scale * math.exp(raw))
+                integrands.append(lambda abs_for: np.log(np.maximum(abs_for(0.0) / scale, 1e-300)))
+            else:
+                transforms.append(lambda raw, p=p: scale * max(raw, 0.0) ** (1.0 / p))
+                integrands.append(lambda abs_for, p=p: (abs_for(p) / scale) ** p)
+        return transforms, integrands
+
+    def record(chosen, result, route):
+        for i, value, err in zip(chosen, result[1], result[2]):
             err += value * 1e-13  # the rounding of the sums
             out[i] = MeanResult(p=ps[i], value=value, err_estimate=err, method=route)
+
+    mapped = [i for i, p in enumerate(ps) if not _smooth_at_zeros(p)]
+    ends = _panel_ends(T, R) if mapped else np.zeros(0)
+    if ends.size:
+        # |T|^2 has degree 2n, and the map halves the node density mid-panel
+        result = quad.singular_circle_mean(at, ends, 4 * T.n + 2, _MAX_NODES, rel_tol, *terms(mapped))
+        record(mapped, result, "adaptive-singular")
+    uniform = [i for i in range(len(ps)) if out[i] is None]
+    if uniform:
+        result = quad.periodic_mean_doubling(
+            # the pass samples circle_grid(m, 0), then circle_grid(m, 1/2)
+            lambda t: at(t, (t.size, 0.5 if t[0] else 0.0)),
+            _START_NODES, _MAX_NODES, rel_tol, *terms(uniform), math.inf,
+        )
+        record(uniform, result, "trapezoid")
     return out
 
 
@@ -210,13 +218,9 @@ def mean_0_quadrature(
     """Geometric mean by integrating log|T| on the circle: the cross-check of mahler_from_roots.
 
     ``R`` must hold zeros of the stored z^n T (see rootfind.checked_roots);
-    only the angles of those near the circle are read. The route is
-    _quadrature_means's at p = 0, and ``method`` names the one taken:
-    "adaptive-singular" for the doubling pass on Kress's map into the zeros
-    near the circle when one lies within NEAR_CIRCLE_THRESHOLD (the log
-    singularities are integrable, so nothing is excluded), "trapezoid" for
-    the uniform pass otherwise. err_estimate is the last refinement delta
-    plus 1e-13 relative.
+    only those near the circle are read. Route, ``method`` and err_estimate
+    are _quadrature_means's at p = 0 ("adaptive-singular" or "trapezoid");
+    the log singularities are integrable, so nothing is excluded.
     """
     return _quadrature_means(T, [0.0], R, rel_tol)[0]
 
@@ -229,10 +233,7 @@ def mean_p(
 ) -> MeanResult:
     """M_p for finite p > 0 by quadrature of |T|^p: the one-element case of ``means``.
 
-    Non-even p take the doubling pass on Kress's map into the zeros near the
-    circle when there are any, and the uniform pass otherwise (see
-    _quadrature_means).
-    ``roots_hint`` is taken as in ``means``.
+    The route is _quadrature_means's; ``roots_hint`` is taken as in ``means``.
     """
     if not p > 0 or math.isinf(p):
         raise ValueError("mean_p needs a finite p > 0")
@@ -315,11 +316,8 @@ def means(
 
     p = 0 takes the product formula over the zeros of z^n T, p = inf the sup
     of mean_inf, and every p in between the circle quadrature that
-    mean_0_quadrature also runs: one doubling pass on Kress's map into the
-    zeros near the circle, shared by the p that are not even integers when
-    such zeros exist, and one uniform doubling pass shared by the rest. Each
-    pass evaluates |T| once per node for all of its p, while each p keeps
-    its own running sum and stopping level. The
+    mean_0_quadrature also runs (_quadrature_means: a mapped pass for the p
+    not smooth at zeros near the circle, a uniform one for the rest). The
     zeros are found at most once, and only when a p reads them: p = 0, or
     a finite p that is not an even integer. They are
     rootfind.checked_roots(T.to_algebraic(), roots_hint): ``roots_hint``,

@@ -1,13 +1,12 @@
 """Quadrature building blocks for integrands on the unit circle.
 
 One engine computes every circle mean: trapezoid sums with node doubling
-(periodic_mean_doubling), the cheapest high-accuracy rule for smooth periodic
-integrands. singular_circle_mean runs it in the variable u of Kress's
-sigmoidal map (graded_edges), which splits the circle at given singular
-angles and clusters the nodes into both ends of every panel: an integrand
-with log-type or |t|^alpha singularities at those angles becomes smooth and
-periodic in u, and the trapezoid rule converges fast again (Kress, Numer.
-Math. 58, 1990; Trefethen and Weideman, SIAM Review 56, 2014).
+(periodic_mean_doubling). singular_circle_mean runs it in the variable u of
+Kress's sigmoidal map of order q (graded_edges), which splits the circle at
+given singular angles and clusters the nodes into both ends of every panel:
+log-type or |t|^alpha singularities at those angles then cost the trapezoid
+rule an error that falls like h^q (Kress, Numer. Math. 58, 1990; Trefethen
+and Weideman, SIAM Review 56, 2014).
 
 Adaptive Gauss-Legendre panels (adaptive_gl) serve the piecewise-smooth
 integrands whose kinks are found by bisection (bisect_roots) and given as
@@ -36,15 +35,14 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 # Order q of Kress's map in graded_edges: the integrand times dt/du vanishes
-# like u^(q-1) at each panel end.
+# like u^(q-1) at each panel end, and the mapped sums err like h^q.
 _MAP_ORDER = 6
 # singular_circle_mean's first nodes per panel: from 16, the first grids of a long panel
 # can agree by chance (M_0.25 of a roots-on-circle T stopped 5e-10 relative off).
 _PANEL_START_NODES = 32
 # Gauss-Legendre order of adaptive_gl's panels, checked against half this order.
 _PANEL_ORDER = 16
-# Refinement limit of adaptive_gl: the panel cap bounds the integrand values
-# at about 4 * 10^5.
+# Refinement limit of adaptive_gl: it bounds the integrand values at about 4 * 10^5.
 _MAX_PANELS = 1 << 14
 # bisect_roots halvings: 50 take a panel of width up to 2 pi below 1e-14.
 _BISECT_STEPS = 50
@@ -52,8 +50,7 @@ _BISECT_STEPS = 50
 
 @lru_cache(maxsize=None)
 def gl_rule(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+    return np.polynomial.legendre.leggauss(order)
 
 
 def circle_grid(m: int, shift: float = 0.0) -> np.ndarray:
@@ -68,19 +65,23 @@ def periodic_mean_doubling(
     rel_tol: float,
     transform,
     integrands,
+    decay: float,
 ):
     """Means of k integrands over [0, 2pi) by uniform sampling with node doubling.
 
-    One pass computes the k means on the same nodes: f(t) evaluates what the
-    integrands share once per batch of nodes, and integrands[i](f(t)) gives
-    the values of integrand i. Doubling interleaves midpoints so earlier
-    samples are reused. Integrand i converges on transform[i](mean) between
-    successive refinements, relative to it; a log-scale integrand, whose mean
-    may sit at zero, converges on exp: to first order that is an absolute
-    test on its mean. Each integrand keeps its own running sum, stops at its
-    own level and is not evaluated after it stops. Returns (raw_means,
-    transformed, errs, nodes): lists of k floats, errs[i] being the last
-    refinement delta on transformed[i], and the largest node count reached.
+    f(t) evaluates what the integrands share once per batch of nodes, and
+    integrands[i](f(t)) gives the values of integrand i. Doubling
+    interleaves midpoints, so earlier samples are reused. Integrand i keeps
+    its own running sum and stops, and is no longer evaluated, once
+    transform[i](mean) is within rel_tol relative of the level before; a
+    log-scale integrand, whose mean may sit at zero, converges on exp, to
+    first order an absolute test on its mean. ``decay`` is the factor by
+    which one doubling divides the error: 2^q for sums that err like h^q,
+    inf where they converge exponentially. A delta below the last error
+    estimate over decay is taken as two grids agreeing by chance, so the
+    estimate is the larger of the two. Returns (raw_means, transformed,
+    errs, nodes): lists of k floats, errs[i] that estimate on
+    transformed[i], and the largest node count reached.
 
     f is always called with one whole grid, circle_grid(m, s): s = 0 for the
     first m = start_nodes angles, then s = 1/2 for the m midpoints of each
@@ -101,7 +102,8 @@ def periodic_mean_doubling(
             totals[i] += float(np.sum(integrands[i](shared)))
             raw[i] = totals[i] / n
             cur = transform[i](raw[i])
-            err[i] = abs(cur - prev[i])
+            delta = abs(cur - prev[i])
+            err[i] = delta if err[i] == np.inf else max(delta, err[i] / decay)
             prev[i] = cur
             if err[i] > rel_tol * max(abs(cur), 1e-300):
                 still.append(i)
@@ -195,6 +197,7 @@ def adaptive_gl(f, a, b, tol: float, absolute: bool):
 def singular_circle_mean(
     f,
     angles: np.ndarray,
+    start_nodes: int,
     max_nodes: int,
     rel_tol: float,
     transform,
@@ -204,10 +207,12 @@ def singular_circle_mean(
 
     periodic_mean_doubling in the variable u of graded_edges, whose panels
     end at the given angles (one within 1e-12 of the one before is merged
-    into it), from _PANEL_START_NODES nodes per panel: the mean over t of
-    integrands[i](f(t)) is the mean over u of integrands[i](f(t(u))) t'(u).
-    f is called with the mapped angles t of each grid, less those of weight
-    0; the other arguments and the results are periodic_mean_doubling's.
+    into it), from start_nodes nodes or _PANEL_START_NODES per panel if more:
+    the mean over t of integrands[i](f(t)) is the mean over u of
+    integrands[i](f(t(u))) t'(u), where t'(u) reaches 2 mid-panel. f is
+    called with the mapped angles t of each grid, less those of weight 0.
+    The sums err like h^6, so the pass runs at decay 2^_MAP_ORDER; the other
+    arguments and the results are periodic_mean_doubling's.
     """
     a = np.sort(np.asarray(angles, dtype=float) % TWO_PI)
     ends = a[np.concatenate([[True], np.diff(a) > 1e-12])]
@@ -217,13 +222,10 @@ def singular_circle_mean(
         inner = dt > 0
         return f(t[inner]), dt[inner]
 
+    weighted = [lambda shared, g=g: g(shared[0]) * shared[1] for g in integrands]
     return periodic_mean_doubling(
-        mapped,
-        _PANEL_START_NODES * ends.size,
-        max_nodes,
-        rel_tol,
-        transform,
-        [lambda shared, g=g: g(shared[0]) * shared[1] for g in integrands],
+        mapped, max(start_nodes, _PANEL_START_NODES * ends.size), max_nodes, rel_tol,
+        transform, weighted, 2.0**_MAP_ORDER,
     )
 
 

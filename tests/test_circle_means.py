@@ -525,3 +525,51 @@ class TestMeanProperties:
             means(T, [0.5], rel_tol=rel_tol)
         with pytest.raises(ValueError, match="rel_tol"):
             logplus_integral(T, rel_tol)
+
+
+class TestMappedPassEstimates:
+    """The mapped pass's err_estimate must cover its error. Each reference is
+    the product formula over the zeros of the stored coefficients."""
+
+    @staticmethod
+    def stored_mahler(T, R):
+        from bernstein_lab.rootfind import _refined
+
+        return mahler_from_roots(RootSet(R.leading, _refined(T.coeffs, R.roots), 0)).value
+
+    @pytest.mark.parametrize(
+        "n, index, derivative",
+        [
+            # T': solved zeros up to 1e-11 off the stored ones in angle; at
+            # the solved angles the pass stopped 7e-12 off with estimate 4e-12
+            (8, 3, True),
+            # T: levels 4096 and 8192 of the pass agreed by chance to 1e-13,
+            # 9e-13 off the stored mean
+            (16, 131, False),
+        ],
+    )
+    def test_roots_on_circle(self, n, index, derivative):
+        from bernstein_lab.rootfind import checked_roots
+        from bernstein_lab.verify import SampleSpec, sample_with_roots
+
+        T, planted = sample_with_roots(SampleSpec(n, "roots-on-circle", 20260410, 200), index)
+        P = T.derivative() if derivative else T
+        R = checked_roots(P.to_algebraic(), None if derivative else planted)
+        res = mean_0_quadrature(P, R)
+        assert res.method == "adaptive-singular"
+        assert abs(res.value - self.stored_mahler(P, R)) <= res.err_estimate <= 1e-10 * res.value
+
+    def test_high_degree_single_panel(self):
+        # T = (z - z0)(z^199 - 1.1^199): from 32 nodes in its one panel, the
+        # grids missed the 199 ripples of |T| and stopped 1.4e-10 off, with
+        # estimate 8e-11
+        m = 199
+        z0 = (1 + 1e-8) * np.exp(4.93j)
+        zeros = np.concatenate([[z0], 1.1 * np.exp(2j * np.pi * np.arange(m) / m)])
+        c = np.polynomial.polynomial.polymul(np.r_[-(1.1**m), np.zeros(m - 1), 1.0], [-z0, 1.0])
+        T = LaurentPolynomial(100, c / np.max(np.abs(c)))
+        R = RootSet(complex(T.coeffs[-1]), zeros, 0)
+        exact = abs(T.coeffs[-1]) * abs(z0) * 1.1**m
+        res = mean_0_quadrature(T, R)
+        assert res.method == "adaptive-singular"
+        assert abs(res.value - exact) <= res.err_estimate <= 1e-10 * exact

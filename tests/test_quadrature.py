@@ -10,14 +10,14 @@ class TestPeriodicDoubling:
         from scipy.special import iv
 
         raw, val, err, nodes = quad.periodic_mean_doubling(
-            lambda t: np.exp(np.cos(t)), 16, 1 << 16, 1e-12, [lambda x: x], [lambda v: v]
+            lambda t: np.exp(np.cos(t)), 16, 1 << 16, 1e-12, [lambda x: x], [lambda v: v], np.inf
         )
         assert val[0] == pytest.approx(float(iv(0, 1.0)), rel=1e-12)
         assert nodes <= 256
 
     def test_reports_last_delta(self):
         _, _, err, _ = quad.periodic_mean_doubling(
-            np.cos, 16, 1 << 10, 1e-15, [lambda x: x], [lambda v: v]
+            np.cos, 16, 1 << 10, 1e-15, [lambda x: x], [lambda v: v], np.inf
         )
         assert err[0] >= 0.0
 
@@ -25,7 +25,7 @@ class TestPeriodicDoubling:
         # (1/2pi) int log|e^{it} - 1/2| dt = log max(1, 1/2) = 0 (Jensen)
         raw, val, _, _ = quad.periodic_mean_doubling(
             lambda t: np.log(np.abs(np.exp(1j * t) - 0.5)), 16, 1 << 16, 1e-12,
-            [np.exp], [lambda v: v],
+            [np.exp], [lambda v: v], np.inf,
         )
         assert raw[0] == pytest.approx(0.0, abs=1e-12)
         assert val[0] == pytest.approx(1.0, abs=1e-12)
@@ -99,7 +99,7 @@ class TestSingularCircleMean:
     @staticmethod
     def log_mean(f, angles):
         raw, value, err, nodes = quad.singular_circle_mean(
-            f, np.asarray(angles), 1 << 20, 1e-10, [np.exp], [lambda v: v]
+            f, np.asarray(angles), 8, 1 << 20, 1e-10, [np.exp], [lambda v: v]
         )
         return raw[0], err[0], nodes
 
@@ -119,7 +119,7 @@ class TestSingularCircleMean:
     def test_periodic_kinks(self):
         # (1/2pi) int |sin t| dt = 2 / pi, kinks at 0 and pi
         _, value, err, _ = quad.singular_circle_mean(
-            np.sin, np.array([np.pi, 0.0]), 1 << 20, 1e-12, [lambda x: x], [np.abs]
+            np.sin, np.array([np.pi, 0.0]), 8, 1 << 20, 1e-12, [lambda x: x], [np.abs]
         )
         assert value[0] == pytest.approx(2.0 / np.pi, rel=1e-12)
         assert err[0] <= 1e-12 * value[0]
@@ -130,9 +130,9 @@ class TestSingularCircleMean:
         f = lambda t: np.abs(np.exp(1j * t) - 1.0)
         integrands = [lambda v: np.log(v), lambda v: v**0.5, lambda v: v**3]
         transforms = [np.exp, lambda x: x**2, lambda x: x ** (1 / 3)]
-        both = quad.singular_circle_mean(f, np.array([0.0]), 1 << 20, 1e-10, transforms, integrands)
+        both = quad.singular_circle_mean(f, np.array([0.0]), 8, 1 << 20, 1e-10, transforms, integrands)
         for i, (tr, g) in enumerate(zip(transforms, integrands)):
-            one = quad.singular_circle_mean(f, np.array([0.0]), 1 << 20, 1e-10, [tr], [g])
+            one = quad.singular_circle_mean(f, np.array([0.0]), 8, 1 << 20, 1e-10, [tr], [g])
             assert [r[i] for r in both[:3]] == [r[0] for r in one[:3]]
 
 
