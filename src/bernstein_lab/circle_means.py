@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -96,8 +95,8 @@ def _panel_ends(T: LaurentPolynomial, R: RootSet) -> np.ndarray:
     return np.angle(_refined(T.coeffs, R.roots[gap <= _PANEL_END_BAND]))
 
 
-def _abs_on_circle(T: LaurentPolynomial, rel_tol: float):
-    """|T(e^{it})| for M_p (p >= 0) good to ``rel_tol``, one batch of angles at a time.
+def _abs_on_circle(T: LaurentPolynomial, rel_tol: float, p: float):
+    """|T(e^{it})| good to ``rel_tol`` for M_q of every q >= p (p = 0 is M_0), one batch at a time.
 
     Rounding in two-sided Horner adds up like a random walk over its 2n + 1
     steps (Higham, Accuracy and Stability of Numerical Algorithms, 2.8), so
@@ -110,45 +109,33 @@ def _abs_on_circle(T: LaurentPolynomial, rel_tol: float):
     s_i > rel_tol are evaluated again as |z^n T(z)| by compensated Horner.
     Near the clustered zeros of a product of unimodular factors, whose
     coefficients are five orders above |T|, the plain value is rounding
-    noise.
+    noise. s_i falls as |T_i| grows, so its |T|^q-weighted mean falls as q
+    grows: a batch that some q > p would compensate, p compensates too, and
+    one decision at the smallest p of a pass serves every p the pass reads.
 
-    The returned function at(t, grid=None) evaluates |T| at a batch of
-    angles t once and returns a function of p giving the values M_p uses
-    there, so every p reading the batch shares that evaluation. A caller
-    whose t is the uniform grid circle_grid(m, shift) passes grid=(m, shift),
-    and the batch is evaluated by one FFT (LaurentPolynomial.on_grid); any
-    other batch is evaluated by plain Horner. The FFT value
-    errs by about u (2 + log2 m) sum |a_j|, inside the same B for the n that
-    matter: against mpmath at 40 digits at the exact angles (n = 16, m = 128,
-    shift 1/2, six samples each of roots-on-circle, coeff-gaussian and
-    roots-mixed) its worst error was 0.18-0.40 B, where Horner at the rounded
-    point e^{it} reached 3.8-4.4 B. So the rule and its measured margin carry
-    over. Each p decides on compensation by its own weights; the compensated
-    values are computed at most once per batch.
+    The returned function at(t, grid=None) gives the |T| array at a batch
+    of angles t. A caller whose t is the uniform grid circle_grid(m, shift)
+    passes grid=(m, shift), and the batch is evaluated by one FFT
+    (LaurentPolynomial.on_grid); any other batch is evaluated by plain
+    Horner. The FFT value errs by about u (2 + log2 m) sum |a_j|, inside the
+    same B for the n that matter: against mpmath at 40 digits at the exact
+    angles (n = 16, m = 128, shift 1/2, six samples each of roots-on-circle,
+    coeff-gaussian and roots-mixed) its worst error was 0.18-0.40 B, where
+    Horner at the rounded point e^{it} reached 3.8-4.4 B. So the rule and
+    its measured margin carry over.
     """
-    _check_rel_tol(rel_tol)
     bound = math.sqrt(2 * T.n + 1) * 2.0**-53 * float(np.sum(np.abs(T.coeffs)))
 
     def at(t, grid=None):
         t = np.asarray(t, dtype=float)
         v = np.abs(T.on_grid(*grid) if grid else T(np.exp(1j * t)))
         if bound <= rel_tol * np.min(v):
-            return lambda p: v
-        slack = bound / np.maximum(v, 1e-300)
-
-        @cache
-        def compensated():
-            noisy = slack > rel_tol
-            w = v.copy()
-            w[noisy] = np.abs(horner_compensated(T.coeffs, np.exp(1j * t[noisy])))
-            return w
-
-        def for_p(p):
-            if np.average(slack, weights=(v / np.max(v)) ** p if p else None) > rel_tol:
-                return compensated()
             return v
-
-        return for_p
+        slack = bound / np.maximum(v, 1e-300)
+        if np.average(slack, weights=(v / np.max(v)) ** p if p else None) > rel_tol:
+            noisy = slack > rel_tol
+            v[noisy] = np.abs(horner_compensated(T.coeffs, np.exp(1j * t[noisy])))
+        return v
 
     return at
 
@@ -164,9 +151,10 @@ def _quadrature_means(
     """M_p of T for each p of ``ps`` (0 <= p < inf) by quadrature on the circle.
 
     The integrand is log|T| at p = 0 and |T|^p otherwise, scaled by the
-    largest coefficient; |T| comes from _abs_on_circle. Two passes of one
-    trapezoid doubling engine share the p, each evaluating |T| once per node
-    for all of its p, and each p stops once its M_p is within rel_tol
+    largest coefficient. Two passes of one trapezoid doubling engine share
+    the p, each reading |T| once per node for all of its p from one
+    _abs_on_circle evaluator set at its smallest p (which compensates every
+    batch a larger p would), and each p stops once its M_p is within rel_tol
     relative (at p = 0, to first order an absolute test on the mean of
     log|T|). When z^n T has a zero within NEAR_CIRCLE_THRESHOLD of the
     circle (``R``, read only then), p = 0 and the p that are not even
@@ -175,8 +163,8 @@ def _quadrature_means(
     err_estimate is the engine's estimate on M_p plus 1e-13 relative.
     """
     _reject_zero(T)
+    _check_rel_tol(rel_tol)
     scale = float(np.max(np.abs(T.coeffs)))
-    at = _abs_on_circle(T, rel_tol)
     out = [None] * len(ps)
 
     def terms(chosen):  # the transforms and integrands of the p at these indices
@@ -184,10 +172,10 @@ def _quadrature_means(
         for p in (ps[i] for i in chosen):
             if p == 0:
                 transforms.append(lambda raw: scale * math.exp(raw))
-                integrands.append(lambda abs_for: np.log(np.maximum(abs_for(0.0) / scale, 1e-300)))
+                integrands.append(lambda v: np.log(np.maximum(v / scale, 1e-300)))
             else:
                 transforms.append(lambda raw, p=p: scale * max(raw, 0.0) ** (1.0 / p))
-                integrands.append(lambda abs_for, p=p: (abs_for(p) / scale) ** p)
+                integrands.append(lambda v, p=p: (v / scale) ** p)
         return transforms, integrands
 
     def record(chosen, result, route):
@@ -198,11 +186,13 @@ def _quadrature_means(
     mapped = [i for i, p in enumerate(ps) if not _smooth_at_zeros(p)]
     ends = _panel_ends(T, R) if mapped else np.zeros(0)
     if ends.size:
+        at = _abs_on_circle(T, rel_tol, min(ps[i] for i in mapped))
         # |T|^2 has degree 2n, and the map halves the node density mid-panel
         result = quad.singular_circle_mean(at, ends, 4 * T.n + 2, _MAX_NODES, rel_tol, *terms(mapped))
         record(mapped, result, "adaptive-singular")
     uniform = [i for i in range(len(ps)) if out[i] is None]
     if uniform:
+        at = _abs_on_circle(T, rel_tol, min(ps[i] for i in uniform))
         result = quad.periodic_mean_doubling(
             # the pass samples circle_grid(m, 0), then circle_grid(m, 1/2)
             lambda t: at(t, (t.size, 0.5 if t[0] else 0.0)),
@@ -358,10 +348,11 @@ def logplus_integral(T: LaurentPolynomial, rel_tol: float = DEFAULT_REL_TOL) -> 
     other. |T| comes from _abs_on_circle, read as at p = 0 (by FFT on the scan).
     """
     _reject_zero(T)
-    at = _abs_on_circle(T, rel_tol)
+    _check_rel_tol(rel_tol)
+    at = _abs_on_circle(T, rel_tol, 0.0)
 
     def h(t, grid=None):
-        return np.log(np.maximum(at(t, grid)(0.0), 1e-300))
+        return np.log(np.maximum(at(t, grid), 1e-300))
 
     def hplus(t):
         return np.maximum(h(t), 0.0)

@@ -157,6 +157,8 @@ class LaurentPolynomial:
     def from_json_dict(cls, obj: dict) -> "LaurentPolynomial":
         if not isinstance(obj, dict) or "n" not in obj or "coeffs" not in obj:
             raise ValueError('polynomial literal needs "n" and "coeffs" fields')
+        if isinstance(obj["n"], bool) or not float(obj["n"]).is_integer():
+            raise ValueError(f'"n" must be a whole number, got {obj["n"]!r}')
         n = int(obj["n"])
         pairs = obj["coeffs"]
         if len(pairs) != 2 * n + 1:
@@ -165,6 +167,8 @@ class LaurentPolynomial:
                 f" pairs, got {len(pairs)}"
             )
         coeffs = np.array([complex(re, im) for re, im in pairs])
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("polynomial literal has a coefficient that is not finite")
         return cls(n, coeffs)
 
     def __repr__(self):

@@ -534,6 +534,8 @@ def run_sweep(
     unread = set(opts) - {"tol", "rel_tol", *SWEEP_OPTIONS.get(claim, ())}
     if unread:
         raise ValueError(f"{claim} does not read the sweep options {sorted(unread)}")
+    if claim == "thm-1-3" and "p" in opts and not opts["p"] > 0:
+        raise ValueError("thm-1-3 needs p > 0; p = 0 is thm-1-1")
     count = len(IDENTITY_3_2_GRID) if claim == "identity-3-2" else spec.count
     return run_in_order(_run_one, [(claim, spec, i, opts) for i in range(count)], jobs)
 

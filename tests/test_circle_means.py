@@ -395,6 +395,31 @@ class TestSharedLadder:
             assert abs(a.value - b.value) <= max(a.err_estimate, b.err_estimate)
         assert len(calls) == 1 + len(ps)
 
+    def test_ladder_compensates_at_its_smallest_p(self, monkeypatch):
+        # a zero 1e-6 outside the circle beside four unimodular factors: the
+        # ladder's mapped pass takes compensated Horner at p = 0.01 on
+        # batches that p = 1 alone reads plain
+        from bernstein_lab import circle_means
+
+        compensated = []
+        kernel = circle_means.horner_compensated
+        monkeypatch.setattr(
+            circle_means, "horner_compensated", lambda c, z: compensated.append(1) or kernel(c, z)
+        )
+        unimodular = np.exp(1j * (0.7 + 0.1 * np.arange(4)))
+        zeros = np.concatenate([[(1 + 1e-6) * np.exp(0.6j)], unimodular, [0.3, -2.0 + 1j, 0.5j]])
+        T = laurent_from_algebraic(from_roots(1.5, zeros), 4)
+        R = roots(T.to_algebraic())
+        ps = [0.01, 0.5, 1.0, 4.0]
+        ladder = means(T, ps, roots_hint=R)
+        assert compensated
+        for p, a in zip(ps, ladder):
+            del compensated[:]
+            b = mean(T, p, roots_hint=R)
+            assert compensated or p >= 1.0
+            assert a.method == b.method
+            assert abs(a.value - b.value) <= max(a.err_estimate, b.err_estimate)
+
     def test_order_and_repeats_kept(self):
         rng = np.random.default_rng(8)
         T, R = planted(rng, 2, inside=2, outside=2)
@@ -416,6 +441,38 @@ class TestSharedLadder:
         T = LaurentPolynomial(1, [1.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="rel_tol"):
             means(T, [0.0, math.inf], rel_tol=rel_tol)
+
+
+class TestOneCompensationDecision:
+    """_abs_on_circle decides on compensation once per batch, at the p it is
+    given: a batch that a larger p would compensate, a smaller p compensates
+    too, so one evaluator at the smallest p of a pass serves all of them."""
+
+    PS = (0.0, 0.01, 0.25, 0.5, 1.0, 2.0, 4.0, 16.0)
+
+    def test_smaller_p_compensates_every_batch_a_larger_p_does(self):
+        from bernstein_lab.circle_means import _abs_on_circle, _panel_ends
+        from bernstein_lab.quadrature import circle_grid, graded_edges
+        from bernstein_lab.rootfind import checked_roots
+        from bernstein_lab.verify import SampleSpec, sample_with_roots
+
+        # eight unimodular factors: near their zeros the plain value is noise
+        T, planted = sample_with_roots(SampleSpec(8, "roots-on-circle", 123, 10), 0)
+        ends = np.sort(_panel_ends(T, checked_roots(T.to_algebraic(), planted)) % (2 * np.pi))
+        split = set()
+        for m in (64, 256, 1024):
+            t, dt = graded_edges(circle_grid(m, 0.5), ends).T
+            for kind, batch in (("mapped", t[dt > 0]), ("uniform", circle_grid(m, 0.5))):
+                plain = np.abs(T(np.exp(1j * batch)))
+                values = [_abs_on_circle(T, 1e-12, p)(batch) for p in self.PS]
+                compensated = [not np.array_equal(v, plain) for v in values]
+                # once one p reads plain values, every larger p does
+                assert compensated == sorted(compensated, reverse=True), (kind, m)
+                k = sum(compensated)
+                assert all(np.array_equal(v, values[0]) for v in values[:k]), (kind, m)
+                if 0 < k < len(self.PS):
+                    split.add(kind)
+        assert split == {"mapped", "uniform"}
 
 
 class TestLogPlus:

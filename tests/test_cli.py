@@ -92,6 +92,26 @@ class TestMeans:
         assert main(["means", str(path)]) == 2
 
     @pytest.mark.parametrize(
+        "literal",
+        [
+            # json reads NaN and Infinity; a NaN gave exit 3 at p = 0 and
+            # printed nan with exit 0 at p = 2 and inf
+            '{"n": 1, "coeffs": [[1, 0], [NaN, 0], [2, 0]]}',
+            '{"n": 1, "coeffs": [[1, 0], [0, -Infinity], [2, 0]]}',
+            # a fractional n ran as its integer part
+            '{"n": 1.7, "coeffs": [[1, 0], [0, 0], [2, 0]]}',
+            '{"n": true, "coeffs": [[1, 0], [0, 0], [2, 0]]}',
+        ],
+    )
+    @pytest.mark.parametrize("p", ["0", "2", "inf"])
+    def test_bad_literal_exit_2(self, tmp_path, capsys, literal, p):
+        path = tmp_path / "bad.json"
+        path.write_text(literal)
+        assert main(["means", str(path), "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert "bad.json" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ["--rel-tol=-inf"],
@@ -265,6 +285,19 @@ class TestVerifyCommand:
         assert main([*argv, f"--tol={tol}", "--out", str(out)]) == 2
         assert "--tol" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "t.jsonl.run.json").exists()
+
+    def test_thm_1_3_at_p_0_exit_2_before_any_sample(self, tmp_path, capsys, monkeypatch):
+        # p = 0 is thm-1-1: check_bernstein would label every report so
+        from bernstein_lab import verify
+
+        monkeypatch.setattr(verify, "_run_one", lambda *a: pytest.fail("a sample ran"))
+        out = tmp_path / "z.jsonl"
+        argv = ["verify", "--claim", "thm-1-3", "--p", "0", "--n", "2", "--count", "2"]
+        assert main([*argv, "--jobs", "1", "--out", str(out)]) == 2
+        assert "thm-1-1" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "z.jsonl.run.json").exists()
+        with pytest.raises(ValueError, match="thm-1-1"):
+            run_sweep("thm-1-3", SampleSpec(2, "roots-mixed", 1, 2), jobs=1, p=0.0)
 
     def test_run_record_holds_the_rel_tol_used(self, tmp_path, capsys):
         out = tmp_path / "r.jsonl"

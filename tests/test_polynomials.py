@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,15 +156,15 @@ class TestOnGrid:
 
         rng = np.random.default_rng(12)
         T = random_laurent(rng, 6)
-        at = _abs_on_circle(T, 1e-10)
+        at = _abs_on_circle(T, 1e-10, 1.0)
         for m in (8, 64, 96):
             for s in (0.0, 0.5):
                 t = circle_grid(m, s)
                 # a named grid is evaluated by FFT, an unnamed one by Horner, bitwise
-                assert np.array_equal(at(t, (m, s))(1.0), np.abs(T.on_grid(m, s)))
-                assert np.array_equal(at(t)(1.0), np.abs(T(np.exp(1j * t))))
+                assert np.array_equal(at(t, (m, s)), np.abs(T.on_grid(m, s)))
+                assert np.array_equal(at(t), np.abs(T(np.exp(1j * t))))
         nodes = rng.uniform(0, 2 * np.pi, 50)
-        assert np.array_equal(at(nodes)(1.0), np.abs(T(np.exp(1j * nodes))))
+        assert np.array_equal(at(nodes), np.abs(T(np.exp(1j * nodes))))
 
 
 class TestDerivative:
@@ -306,6 +308,22 @@ class TestHousekeeping:
     def test_json_validates_count(self):
         with pytest.raises(ValueError):
             LaurentPolynomial.from_json_dict({"n": 2, "coeffs": [[1, 0]]})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_rejects_coefficients_that_are_not_finite(self, bad):
+        for pair in ([bad, 0.0], [0.0, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                LaurentPolynomial.from_json_dict({"n": 1, "coeffs": [[1, 0], pair, [2, 0]]})
+
+    @pytest.mark.parametrize("n", [1.7, 0.5, True, False, math.inf, math.nan])
+    def test_json_rejects_n_that_is_not_whole(self, n):
+        coeffs = [[1, 0]] * 3
+        with pytest.raises(ValueError, match="whole number"):
+            LaurentPolynomial.from_json_dict({"n": n, "coeffs": coeffs})
+
+    def test_json_takes_a_whole_float_n(self):
+        T = LaurentPolynomial.from_json_dict({"n": 1.0, "coeffs": [[1, 0], [0, 0], [2, 0]]})
+        assert T.n == 1 and isinstance(T.n, int)
 
     def test_normalized_strips_leading_zeros(self):
         P = AlgebraicPolynomial([1, 2, 0, 0])

@@ -1,16 +1,38 @@
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 from bernstein_lab.polynomials import AlgebraicPolynomial, from_roots
 from bernstein_lab.rootfind import classify, roots
 
 
 def match_distance(found, planted):
-    """Largest pairing error under the optimal assignment."""
+    """Largest distance from a found root to its nearest planted one.
+
+    inf unless that pairing is a bijection: two found roots sharing a planted
+    one leave another unmatched. When it is, no pairing has a smaller largest
+    distance.
+    """
     cost = np.abs(np.subtract.outer(np.asarray(found), np.asarray(planted)))
-    r, c = linear_sum_assignment(cost)
-    return cost[r, c].max()
+    nearest = cost.argmin(axis=1)
+    if cost.shape[0] != cost.shape[1] or np.unique(nearest).size != nearest.size:
+        return np.inf
+    return cost[np.arange(nearest.size), nearest].max()
+
+
+class TestMatchDistance:
+    def test_perturbed_root_shows(self):
+        zs = np.array([0.5, -1.0 + 1j, 2.0j, 3.0])
+        moved = zs.copy()
+        moved[2] += 1e-6
+        assert match_distance(zs[::-1], zs) == 0.0
+        assert match_distance(moved, zs) == pytest.approx(1e-6, rel=1e-6)
+
+    def test_pairing_must_be_one_to_one(self):
+        zs = np.array([0.5, -1.0 + 1j, 2.0j, 3.0])
+        doubled = zs.copy()
+        doubled[3] = zs[0] + 1e-9  # 3.0 is lost, 0.5 is found twice
+        assert match_distance(doubled, zs) == np.inf
+        assert match_distance(zs[:3], zs) == np.inf
 
 
 class TestRoots:
