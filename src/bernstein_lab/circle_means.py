@@ -345,7 +345,7 @@ def logplus_integral(T: LaurentPolynomial, rel_tol: float = DEFAULT_REL_TOL) -> 
     every panel at once, to an absolute tolerance on the integral set from
     rel_tol and the scan's rough value: panels below 1 are exactly 0
     under both of its rules, and a kink the scan missed is bisected like any
-    other. |T| comes from _abs_on_circle, read as at p = 0 (by FFT on the scan).
+    other. |T| comes from _abs_on_circle at p = 0 (by FFT on the scan).
     """
     _reject_zero(T)
     _check_rel_tol(rel_tol)
