@@ -1,5 +1,15 @@
 """Circle means of Laurent polynomials and checks of their sharp derivative bounds."""
 
+import os
+import sys
+
+# One BLAS thread per process: the only LAPACK call is eigvals on small
+# companion matrices, where OpenBLAS's helper threads spin for CPU time that
+# the process pool already uses. A value set by the user wins, and a process
+# that loaded numpy first keeps its threads.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .circle_means import (
     DEFAULT_REL_TOL,
     MeanResult,

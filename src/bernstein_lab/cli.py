@@ -1,10 +1,12 @@
 """Command-line surface: means tables, verification sweeps, extremal search.
 
-Everything is flag-driven; an optional --config JSON supplies defaults that
-explicit flags override. Outputs are deterministic: identical flags and seed
-produce byte-identical files (fixed field order, floats at 17 significant
-digits). Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
-3 numeric failure.
+Everything is flag-driven. An optional --config JSON object supplies
+defaults: each key that names an option of the command is read as that
+flag's own text (``{"rel_tol": 1e-9}`` as ``--rel-tol=1e-09``), ahead of the
+explicit flags, so a flag overrides it and both pass the same checks. Outputs
+are deterministic: identical flags and seed produce byte-identical files
+(fixed field order, floats at 17 significant digits). Exit codes: 0 pass,
+1 verification failure, 2 usage or parse error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from .circle_means import DEFAULT_REL_TOL, means
 from .errors import NumericFailure
 from .extremal import DEFAULT_BUDGET, DEFAULT_RESTARTS, RATIO_CEILING, maximize_ratio
 from .polynomials import LaurentPolynomial
-from .verify import (
-    CLAIMS,
-    DISTRIBUTIONS,
-    SWEEP_OPTIONS,
-    SampleSpec,
-    run_sweep,
-    summarize,
-)
+from .verify import CLAIMS, DISTRIBUTIONS, SWEEP_OPTIONS, SampleSpec, run_sweep, summarize
 
 DEFAULT_SEED = 0
 SEED_ENV = "BERNSTEIN_LAB_SEED"
@@ -50,34 +45,55 @@ def parse_p(token: str) -> float:
     return p
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("--config must hold a JSON object")
-    return obj
+def _p_tokens(text: str) -> list[str]:
+    """A comma list of p tokens, empty items dropped; each must parse, and is kept as typed."""
+    tokens = [t for t in text.split(",") if t]
+    for tok in tokens:
+        parse_p(tok)
+    return tokens
 
 
-def _resolve(args, config: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
+def _checked_float(rule: str, ok):
+    """type= for a float flag that must be finite and pass ``ok``."""
+
+    def number(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be {rule}; got {value}")
         return value
-    if name in config:
-        return config[name]
-    return default
+
+    return number
 
 
-def _resolve_seed(args, config: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in config:
-        return int(config["seed"])
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
+# Every option any claim reads under SWEEP_OPTIONS.
+_SWEEP_KEYS = {name for row in SWEEP_OPTIONS.values() for name in row}
+# Parsed names that a --config key does not set: the subcommand and its
+# handler, the polynomial file, the claim (it picks the sweep keys read) and
+# the config path itself.
+_NOT_CONFIG_KEYS = {"command", "func", "poly_file", "claim", "config"}
+
+
+def _config_flags(args) -> list[str]:
+    """The --config object of ``args`` as flag text, one ``--key=value`` token per key.
+
+    Keys are shared defaults: a key that names no option of the command, a
+    null value and a sweep key the claim does not read are skipped.
+    """
+    with open(args.config, "r", encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("--config must hold a JSON object")
+    unread = _SWEEP_KEYS - SWEEP_OPTIONS.get(getattr(args, "claim", None), {}).keys()
+    flags = []
+    for key, value in config.items():
+        if key not in vars(args) or key in _NOT_CONFIG_KEYS or value is None:
+            continue
+        if args.command == "verify" and key in unread:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"--config {key}: want a number or a string, got {json.dumps(value)}")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _load_polynomial(path: str) -> LaurentPolynomial:
@@ -101,39 +117,13 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _number(args, config: dict, name: str, default, rule: str, ok) -> float:
-    """Flag or --config value ``name`` as a float; not finite or failing ``ok`` is a usage error."""
-    value = float(_resolve(args, config, name, default))
-    if not (math.isfinite(value) and ok(value)):
-        raise ValueError(f"--{name.replace('_', '-')} must be {rule}; got {value}")
-    return value
-
-
-def _rel_tol(args, config: dict) -> float:
-    return _number(args, config, "rel_tol", DEFAULT_REL_TOL, "finite and > 0", lambda x: x > 0)
-
-
-# How a flag or --config value of each SWEEP_OPTIONS entry is read.
-_SWEEP_OPTION_PARSERS = {
-    "p": lambda v: parse_p(str(v)),
-    "p_grid": lambda v: tuple(parse_p(t) for t in str(v).split(",") if t),
-    "points": int,
-    "fubini": lambda v: bool(int(v)),
-}
-
-
 # ---------------------------------------------------------------------------
 # means
 
 
 def cmd_means(args) -> int:
-    config = _load_config(args.config)
     T = _load_polynomial(args.poly_file)
-    rel_tol = _rel_tol(args, config)
-    tokens = [t for t in _resolve(args, config, "p", "0,1,2,inf").split(",") if t]
-    fmt = _resolve(args, config, "format", "csv")
-    out_path = _resolve(args, config, "out", None)
-
+    rel_tol, tokens, fmt, out_path = args.rel_tol, args.p, args.format, args.out
     ps = [parse_p(tok) for tok in tokens]
     rows = [
         {
@@ -178,33 +168,24 @@ def cmd_means(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    claim = args.claim
-    spec = SampleSpec(
-        n=int(_resolve(args, config, "n", 8)),
-        distribution=_resolve(args, config, "distribution", "roots-mixed"),
-        seed=seed,
-        count=int(_resolve(args, config, "count", 100)),
-    )
-    opts: dict = {"rel_tol": _rel_tol(args, config)}
-    if _resolve(args, config, "tol", None) is not None:
-        opts["tol"] = _number(args, config, "tol", None, "finite and >= 0", lambda x: x >= 0)
+    seed, claim, out_path = args.seed, args.claim, args.out
+    spec = SampleSpec(n=args.n, distribution=args.distribution, seed=seed, count=args.count)
+    opts: dict = {"rel_tol": args.rel_tol}
+    if args.tol is not None:
+        opts["tol"] = args.tol
     row = SWEEP_OPTIONS.get(claim, {})
-    # --config keys are shared defaults, so a claim reads only its own; a
-    # flag it does not read is an error
-    given = [name for name in _SWEEP_OPTION_PARSERS if getattr(args, name) is not None]
-    unread = ["--" + name.replace("_", "-") for name in given if name not in row]
+    # --config skips the sweep keys the claim does not read, so any such
+    # value came from a flag
+    unread = ["--" + name.replace("_", "-") for name in sorted(_SWEEP_KEYS - row.keys())
+              if getattr(args, name) is not None]
     if unread:
         return _usage_error(f"{claim} does not read {', '.join(unread)}")
     for name, default in row.items():
-        value = _resolve(args, config, name, None)
-        opts[name] = default if value is None else _SWEEP_OPTION_PARSERS[name](value)
+        value = getattr(args, name)
+        # the library default's type: --fubini's 0 or 1 is a bool
+        opts[name] = default if value is None else type(default)(value)
 
-    jobs = _resolve(args, config, "jobs", None)
-    reports = run_sweep(claim, spec, jobs=None if jobs is None else int(jobs), **opts)
-
-    out_path = _resolve(args, config, "out", "reports.jsonl")
+    reports = run_sweep(claim, spec, jobs=args.jobs, **opts)
     with open(out_path, "w", encoding="utf-8") as fh:
         for rep in reports:
             fh.write(jsonio.dump_line(rep.to_json_dict()))
@@ -251,15 +232,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    p = parse_p(str(_resolve(args, config, "p", "2")))
-    n = int(_resolve(args, config, "n", 2))
-    restarts = int(_resolve(args, config, "restarts", DEFAULT_RESTARTS))
-    budget = int(_resolve(args, config, "budget", DEFAULT_BUDGET))
-    threshold = _number(args, config, "threshold", 0.99, "finite", lambda x: True)
-    out_path = _resolve(args, config, "out", None)
-    jobs = _resolve(args, config, "jobs", None)
+    seed, p, n, restarts, budget = args.seed, args.p, args.n, args.restarts, args.budget
+    threshold, out_path = args.threshold, args.out
 
     if threshold > RATIO_CEILING:
         print(
@@ -269,10 +243,7 @@ def cmd_extremal(args) -> int:
         )
         return 1
 
-    trace = maximize_ratio(
-        n, p, restarts=restarts, budget=budget, seed=seed,
-        jobs=None if jobs is None else int(jobs),
-    )
+    trace = maximize_ratio(n, p, restarts=restarts, budget=budget, seed=seed, jobs=args.jobs)
     run = {
         "command": "extremal",
         "seed": seed,
@@ -308,50 +279,60 @@ def cmd_extremal(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a bad value (a flag's or a --config key's) raises argparse.ArgumentError,
+    # which main prints as one error line
     parser = argparse.ArgumentParser(
         prog="bernstein-lab",
         description="Circle means of Laurent polynomials and numerical checks "
         "of the sharp derivative inequalities they satisfy.",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--config", help="JSON file of defaults; flags override it")
-        sp.add_argument("--out", default=None, help="output path")
+    def add_command(name, func, out, help):
+        sp = sub.add_parser(name, help=help, exit_on_error=False)
+        sp.add_argument("--config", help="JSON object of defaults, each key read as its flag; "
+                        "flags override it")
+        sp.add_argument("--out", default=out, help="output path")
+        sp.set_defaults(func=func)
+        return sp
 
-    means = sub.add_parser("means", help="tabulate M_p of a polynomial file")
+    rel_tol = _checked_float("finite and > 0", lambda x: x > 0)
+    means = add_command("means", cmd_means, None, "tabulate M_p of a polynomial file")
     means.add_argument("poly_file", help='JSON {"n": int, "coeffs": [[re, im], ...]}')
-    means.add_argument("--p", default=None, help='comma list of p tokens ("0", decimals, "inf")')
-    means.add_argument("--format", choices=("csv", "json"), default=None)
-    means.add_argument("--rel-tol", type=float, default=None, help="quadrature tolerance")
-    add_common(means)
-    means.set_defaults(func=cmd_means)
+    means.add_argument("--p", type=_p_tokens, default="0,1,2,inf",
+                       help='comma list of p tokens ("0", decimals, "inf")')
+    means.add_argument("--format", choices=("csv", "json"), default="csv")
+    means.add_argument("--rel-tol", type=rel_tol, default=DEFAULT_REL_TOL,
+                       help="quadrature tolerance")
 
-    verify = sub.add_parser("verify", help="randomized sweep of one claim")
+    verify = add_command("verify", cmd_verify, "reports.jsonl", "randomized sweep of one claim")
     verify.add_argument("--claim", required=True, choices=CLAIMS)
-    verify.add_argument("--n", type=int, default=None)
-    verify.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
-    verify.add_argument("--count", type=int, default=None)
-    verify.add_argument("--tol", type=float, default=None)
-    verify.add_argument("--p", default=None, help="p for thm-1-3")
-    verify.add_argument("--p-grid", dest="p_grid", default=None, help="comma list for monotone-p")
+    verify.add_argument("--n", type=int, default=8)
+    verify.add_argument("--distribution", choices=DISTRIBUTIONS, default="roots-mixed")
+    verify.add_argument("--count", type=int, default=100)
+    verify.add_argument("--tol", type=_checked_float("finite and >= 0", lambda x: x >= 0),
+                        default=None)
+    verify.add_argument("--p", type=parse_p, default=None, help="p for thm-1-3")
+    verify.add_argument("--p-grid", type=lambda text: tuple(map(parse_p, _p_tokens(text))),
+                        default=None, help="comma list for monotone-p")
     verify.add_argument("--points", type=int, default=None, help="circle grid size for lemma-2-2")
-    verify.add_argument("--fubini", type=int, default=None,
+    verify.add_argument("--fubini", type=int, choices=(0, 1), default=None,
                         help="1/0: cross-check thm-1-2 via the smoothing route")
-    verify.add_argument("--rel-tol", type=float, default=None, help="quadrature tolerance")
-    add_common(verify)
-    verify.set_defaults(func=cmd_verify)
+    verify.add_argument("--rel-tol", type=rel_tol, default=DEFAULT_REL_TOL,
+                        help="quadrature tolerance")
 
-    extremal = sub.add_parser("extremal", help="search for derivative-ratio maximizers")
-    extremal.add_argument("--n", type=int, default=None)
-    extremal.add_argument("--p", default=None)
-    extremal.add_argument("--restarts", type=int, default=None)
-    extremal.add_argument("--budget", type=int, default=None)
-    extremal.add_argument("--threshold", type=float, default=None)
-    add_common(extremal)
-    extremal.set_defaults(func=cmd_extremal)
+    extremal = add_command("extremal", cmd_extremal, None,
+                           "search for derivative-ratio maximizers")
+    extremal.add_argument("--n", type=int, default=2)
+    extremal.add_argument("--p", type=parse_p, default=2.0)
+    extremal.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
+    extremal.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    extremal.add_argument("--threshold", type=_checked_float("finite", lambda x: True),
+                          default=0.99)
     for sp in (verify, extremal):
-        sp.add_argument("--seed", type=int, default=None,
+        # a string default passes through type=, so a bad $BERNSTEIN_LAB_SEED is a usage error
+        sp.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, DEFAULT_SEED),
                         help=f"RNG seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
         sp.add_argument("--jobs", type=int, default=None,
                         help="worker processes, at least 1, never more than the tasks "
@@ -361,15 +342,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config:
+            # the whole line again, config flags first so that the user's win
+            args = parser.parse_args([argv[0], *_config_flags(args), *argv[1:]])
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, OSError, argparse.ArgumentError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -511,6 +511,111 @@ class TestArgparseErrors:
         assert named in capsys.readouterr().err
 
 
+class TestConfigValues:
+    # each --config key is read as its flag's text, so it passes the flag's checks
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["verify", "--claim", "thm-1-1"], {"count": 2.9}),  # ran 2 samples
+            (["verify", "--claim", "thm-1-1"], {"count": True}),  # ran 1
+            (["verify", "--claim", "thm-1-1"], {"n": 2.5}),  # ran n = 2
+            (["verify", "--claim", "thm-1-1"], {"jobs": 1.5}),  # ran 1 worker
+            (["verify", "--claim", "thm-1-1"], {"seed": 1.5}),  # ran seed 1
+            (["verify", "--claim", "thm-1-2"], {"fubini": 2}),
+            (["verify", "--claim", "thm-1-2"], {"fubini": True}),
+            (["extremal", "--p", "2"], {"restarts": 2.5}),
+            (["extremal", "--p", "2"], {"budget": 100.5}),
+            (["means", None], {"format": "xml"}),  # wrote CSV with exit 0
+            (["means", None], {"p": [0, 1]}),  # an AttributeError traceback
+        ],
+    )
+    def test_bad_value_exits_2_before_any_work(
+        self, poly_file, tmp_path, capsys, monkeypatch, argv, config
+    ):
+        from bernstein_lab import cli, verify
+
+        monkeypatch.setattr(verify, "_run_one", lambda *a: pytest.fail("a sample ran"))
+        monkeypatch.setattr(cli, "maximize_ratio", lambda *a, **k: pytest.fail("the search ran"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, "count": 2, **config}))
+        out = tmp_path / "out"
+        argv = [poly_file if a is None else a for a in argv]
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "poly.json"]
+
+    def test_config_and_flags_write_the_same_files(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"n": 2, "count": 3, "seed": 4, "p": 1.5, "rel_tol": 1e-9, "tol": 0, "jobs": 1}
+        ))
+        flags = ["--n", "2", "--count", "3", "--seed", "4", "--p", "1.5", "--rel-tol", "1e-9",
+                 "--tol", "0", "--jobs", "1"]
+        files = []
+        for name, extra in (("flags", flags), ("config", ["--config", str(cfg)])):
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["verify", "--claim", "thm-1-3", *extra, "--out", str(out)]) == 0
+            files.append((out.read_bytes(), (tmp_path / f"{name}.jsonl.run.json").read_text()))
+        assert files[0][0] == files[1][0]
+        assert files[0][1].replace("flags.jsonl", "config.jsonl") == files[1][1]
+
+    def test_unknown_keys_and_nulls_are_skipped_and_flags_win(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "poly_file": "x.json", "claim": "thm-1-3", "restarts": 3, "rel-tol": "x",
+            "tol": None, "n": 5, "count": 2,
+        }))
+        out = tmp_path / "s.jsonl"
+        argv = ["verify", "--claim", "thm-1-1", "--n", "2", "--config", str(cfg)]
+        assert main([*argv, "--jobs", "1", "--out", str(out)]) == 0
+        params = json.loads((tmp_path / "s.jsonl.run.json").read_text())["params"]
+        assert (params["claim"], params["n"], params["count"], params["tol"]) == (
+            "thm-1-1", 2, 2, None)
+
+
+class TestEntryPoint:
+    """``python -m bernstein_lab.cli``, the path of the console script, in a fresh interpreter."""
+
+    @staticmethod
+    def run(args, cwd=None, **env):
+        import subprocess
+        import sys
+
+        import bernstein_lab
+
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        base["PYTHONPATH"] = os.path.dirname(os.path.dirname(bernstein_lab.__file__))
+        return subprocess.run([sys.executable, *args], env={**base, **env}, cwd=cwd,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize(
+        "script, env, expected",
+        [
+            ("import bernstein_lab", {}, "1"),
+            ("import bernstein_lab", {"OPENBLAS_NUM_THREADS": "3"}, "3"),
+            # numpy loaded first has already read the environment
+            ("import numpy, bernstein_lab", {}, None),
+        ],
+    )
+    def test_one_blas_thread_unless_set(self, script, env, expected):
+        done = self.run(["-c", f"{script}; import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+                        **env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(expected)
+
+    @pytest.mark.parametrize("config, code", [({"count": 2}, 0), ({"count": 2.5}, 2)])
+    def test_cli_module_reads_config(self, tmp_path, config, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["verify", "--claim", "thm-1-1", "--n", "2", "--jobs", "1", "--config", str(cfg)]
+        done = self.run(["-m", "bernstein_lab.cli", *argv], cwd=tmp_path)
+        assert done.returncode == code, done.stderr
+        assert (tmp_path / "reports.jsonl").exists() == (code == 0)
+        if code:
+            assert done.stderr.startswith("error: ") and "--count" in done.stderr
+
+
 class TestJsonIO:
     def test_float_17_digits(self):
         assert jsonio.dumps(0.1) == "0.10000000000000001"
