@@ -6,7 +6,7 @@ LAPACK), which are backward stable (Edelman and Murakami, Math. Comp. 64,
 evaluates P, P' and Higham's running rounding bound mu of P; a root whose
 |P| is within 4 u mu, the rounding level, takes no step, a step is kept
 only where it lowers |P|, and the residual check reads the values at the
-kept points. Multiple roots are returned as nearby simple roots; every
+kept points. Clusters of nearby zeros are returned as simple roots; every
 downstream formula is continuous in the roots, so clusters are harmless at
 our tolerances.
 
@@ -18,9 +18,11 @@ zeros: products of many unimodular factors have coefficients five orders
 above |P| on the circle. A solve whose residual stays above MAX_RESIDUAL is
 redone on the same coefficients in extended precision (Bini and Fiorentino,
 Numer. Algorithms 23, 2000): Aberth steps on compensated-Horner values from
-the eigenvalues first, since the polish can move two iterates onto one zero,
-and mpmath at _ESCALATION_DPS digits if those miss too.
-NumericFailure is raised only when the mpmath solve fails as well.
+the eigenvalues, since the polish can move two iterates onto one zero, run
+until their steps stop moving the roots. NumericFailure, naming the residual
+reached, is raised when the refined set still misses MAX_RESIDUAL, as at a
+k-fold zero of the stored coefficients, which double precision pins only to
+about u^(1/k).
 Generative root sets (planted zeros) go through ``checked_roots``, which holds
 them to the same rule, refining them by the same extended-precision steps
 when they miss it.
@@ -58,10 +60,8 @@ DEFAULT_CIRCLE_EPS = 1e-9
 # 3.1x at most). For degree up to about 100 this keeps root-product means
 # inside the 1e-8 relative verdict tolerance.
 MAX_RESIDUAL = 1e-10
-# Aberth steps at most in _refined
-_COMPENSATED_ITER = 30
-_ESCALATION_DPS = 30
-_ESCALATION_MAXSTEPS = 400
+# Aberth steps at most in _refined, a guard: they stop on their step size first
+_COMPENSATED_ITER = 1000
 # |P(z)| within this many units of mu = sum_k |s_k| |z|^k is rounding noise
 _ROUNDING_BOUND = 4 * 2.0**-53
 # checked_roots remembers this many (coefficients, hint) outcomes
@@ -155,7 +155,12 @@ def _refined(c: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     Compensated Horner behaves like twice double precision, so the steps
     converge to the zeros of the stored coefficients where plain Aberth
-    plateaus: a few dozen milliseconds for 32 unimodular factors.
+    plateaus: a few dozen milliseconds for 32 unimodular factors. They stop
+    once no step moves a root by more than 1e-15 max(1, |z_k|). Most sets
+    stop within a few steps; products of 80-96 unimodular factors take up to
+    about 500, so the cap of _COMPENSATED_ITER only guards against a set that
+    never settles, as at a multiple zero, which the caller's residual check
+    then rejects.
     """
     for _ in range(_COMPENSATED_ITER):
         _, dp, _ = _horner_bound(c, z)
@@ -163,40 +168,6 @@ def _refined(c: np.ndarray, z: np.ndarray) -> np.ndarray:
         z = z - step
         if np.all(np.abs(step) <= 1e-15 * np.maximum(np.abs(z), 1.0)):
             break
-    return z
-
-
-def _escalated(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Zeros of c in extended precision, starting from the companion eigenvalues z.
-
-    First _refined steps from z. If their residual still misses MAX_RESIDUAL,
-    mpmath.polyroots solves c anew at _ESCALATION_DPS digits, about a
-    second at degree 32. NumericFailure when both fail.
-    """
-    z = _refined(c, z)
-    if _residual_within(c, z, MAX_RESIDUAL)[0]:
-        return z
-
-    import mpmath
-
-    with mpmath.workdps(_ESCALATION_DPS):
-        try:
-            found = mpmath.polyroots(
-                [mpmath.mpc(x.real, x.imag) for x in c[::-1]],
-                maxsteps=_ESCALATION_MAXSTEPS,
-                extraprec=2 * _ESCALATION_DPS,
-            )
-        except mpmath.libmp.NoConvergence as exc:
-            raise NumericFailure(
-                f"extended-precision root solve did not converge at degree {c.shape[0] - 1}"
-            ) from exc
-    z = np.array([complex(r) for r in found])
-    ok, res = _residual_within(c, z, MAX_RESIDUAL)
-    if not ok:
-        raise NumericFailure(
-            f"extended-precision roots miss residual {MAX_RESIDUAL:.0e}: {res:.3e}",
-            residual=res,
-        )
     return z
 
 
@@ -214,10 +185,10 @@ def roots(P: AlgebraicPolynomial) -> RootSet:
     guarded Newton step (see _newton_polish). When they have a
     Weierstrass residual above MAX_RESIDUAL against the stored coefficients,
     the same coefficients are solved again in extended precision: Aberth
-    steps on compensated-Horner values from the unpolished eigenvalues, then,
-    if those still miss, mpmath.polyroots. NumericFailure is raised when the
-    eigenvalue solve fails, or when the mpmath solve does not converge or its
-    roots, rounded to double, still miss MAX_RESIDUAL.
+    steps on compensated-Horner values from the unpolished eigenvalues, run
+    to their own stop (see _refined). NumericFailure is raised when the
+    eigenvalue solve fails, or when the refined roots still miss
+    MAX_RESIDUAL; its ``residual`` and message give the residual reached.
     """
     if P.is_zero():
         raise ValueError("zero polynomial has no root set")
@@ -238,7 +209,14 @@ def roots(P: AlgebraicPolynomial) -> RootSet:
             ) from exc
         found, values = _newton_polish(scaled, eigenvalues)
         if not _residual_within(scaled, found, MAX_RESIDUAL, values)[0]:
-            found = _escalated(scaled, eigenvalues)
+            found = _refined(scaled, eigenvalues)
+            ok, res = _residual_within(scaled, found, MAX_RESIDUAL)
+            if not ok:
+                raise NumericFailure(
+                    f"extended-precision roots at degree {c.shape[0] - 1} miss residual"
+                    f" {MAX_RESIDUAL:.0e}: reached {res:.3e}",
+                    residual=res,
+                )
     all_roots = np.concatenate([np.zeros(origin_mult, dtype=complex), found])
     return RootSet(leading=leading, roots=all_roots, degree_deficit=deficit)
 

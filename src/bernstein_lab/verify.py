@@ -445,10 +445,12 @@ def check_monotone_p(
     ladder = [0.0, *ps, math.inf]
     values = [res.value for res in means(T, ladder, rel_tol, roots_hint=roots_hint)]
     labels = [f"{q:g}" for q in ladder]
-    return _worst(
-        _report("monotone-p", a, b, b - a, tol, _witness(T, step=f"p={la} vs p={lb}"))
-        for (a, la), (b, lb) in zip(zip(values, labels), zip(values[1:], labels[1:]))
+    # the worst step first (as _worst picks it), so only its witness is built
+    a, b, la, lb = min(
+        zip(values, values[1:], labels, labels[1:]),
+        key=lambda step: (step[1] - step[0]) / _scale(step[0], step[1]),
     )
+    return _report("monotone-p", a, b, b - a, tol, _witness(T, step=f"p={la} vs p={lb}"))
 
 
 # ---------------------------------------------------------------------------

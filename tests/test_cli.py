@@ -79,6 +79,26 @@ class TestMeans:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rows"][0]["method"] == "trapezoid"
 
+    def test_multiple_zero_exits_3_naming_the_residual(self, tmp_path, capsys):
+        # a double zero of the stored coefficients is pinned only to about
+        # sqrt(u), so no root set meets the residual rule
+        from bernstein_lab.errors import NumericFailure
+        from bernstein_lab.polynomials import AlgebraicPolynomial
+        from bernstein_lab.rootfind import MAX_RESIDUAL, roots
+
+        c = np.polynomial.polynomial.polypow([1.0, 1.0], 4)
+        path = tmp_path / "double.json"
+        path.write_text(json.dumps({"n": 2, "coeffs": [[float(x), 0] for x in c]}))
+        assert main(["means", str(path), "--p", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure:")
+        assert float(lines[0].rsplit("reached ", 1)[1]) > MAX_RESIDUAL
+        with pytest.raises(NumericFailure) as failure:
+            roots(AlgebraicPolynomial(c))
+        assert failure.value.residual > MAX_RESIDUAL
+
     def test_syntax_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 1, "coeffs": [[0, 0],')
@@ -186,10 +206,14 @@ class TestImportBudget:
 
         import bernstein_lab
 
+        # a double zero: the root solve runs its extended-precision stage and fails
+        double = tmp_path / "double.json"
+        double.write_text(json.dumps({"n": 2, "coeffs": [[1, 0], [4, 0], [6, 0], [4, 0], [1, 0]]}))
         script = f"""
 import json, math, sys
 from bernstein_lab import cli
 assert cli.main(["means", {poly_file!r}, "--p", "0,0.5,2,inf"]) == 0
+assert cli.main(["means", {str(double)!r}, "--p", "0"]) == 3
 for claim in ("thm-1-1", "monotone-p"):
     out = {str(tmp_path)!r} + "/" + claim + ".jsonl"
     argv = ["verify", "--claim", claim, "--n", "3", "--count", "4", "--jobs", "1", "--out", out]
@@ -197,8 +221,10 @@ for claim in ("thm-1-1", "monotone-p"):
 from bernstein_lab.extremal import maximize_ratio
 pooled = maximize_ratio(1, math.inf, restarts=2, budget=300, seed=5, jobs=2)
 serial = maximize_ratio(1, math.inf, restarts=2, budget=300, seed=5, jobs=1)
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({{"scipy": loaded, "same": pooled.to_json_dict() == serial.to_json_dict()}}))
+loaded = {{
+    name: sorted(m for m in sys.modules if m.split(".")[0] == name) for name in ("scipy", "mpmath")
+}}
+print(json.dumps({{**loaded, "same": pooled.to_json_dict() == serial.to_json_dict()}}))
 """
         src = os.path.dirname(os.path.dirname(bernstein_lab.__file__))
         env = {**os.environ, "PYTHONPATH": src}
@@ -208,7 +234,7 @@ print(json.dumps({{"scipy": loaded, "same": pooled.to_json_dict() == serial.to_j
         )
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout.splitlines()[-1])
-        assert result == {"scipy": [], "same": True}
+        assert result == {"scipy": [], "mpmath": [], "same": True}
 
 
 class TestVerifyCommand:

@@ -208,6 +208,34 @@ class TestNewtonPolish:
         c = rootfind._scaled(P.normalized()[0].coeffs)
         assert rootfind._residual_within(c, R.roots, rootfind.MAX_RESIDUAL)[0]
 
+    @pytest.mark.parametrize(
+        "n, distribution, index, expected",
+        [
+            # 80 unimodular factors: 69 compensated Aberth steps
+            (40, "roots-on-circle", 20, 1.409343140173828389609),
+            # 75 steps
+            (48, "roots-outside", 55, 9.3312823846112118324e30),
+        ],
+    )
+    def test_high_degree_solve_settles_in_the_compensated_steps(
+        self, monkeypatch, n, distribution, index, expected
+    ):
+        # each expected M_0 is mpmath.polyroots on the stored coefficients at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        from bernstein_lab import rootfind
+        from bernstein_lab.circle_means import mahler_from_roots
+        from bernstein_lab.verify import SampleSpec, sample_polynomial
+
+        def no_mpmath(*args, **kwargs):
+            raise AssertionError("the solve reached mpmath.polyroots")
+
+        monkeypatch.setattr(mpmath, "polyroots", no_mpmath)
+        P = sample_polynomial(SampleSpec(n, distribution, 4242, 60), index).to_algebraic()
+        R = roots(P)
+        c = rootfind._scaled(P.normalized()[0].coeffs)
+        assert rootfind._residual_within(c, R.roots, rootfind.MAX_RESIDUAL)[0]
+        assert mahler_from_roots(R).value == pytest.approx(expected, rel=1e-12)
+
     def test_mahler_measure_matches_mpmath_polyroots(self):
         mpmath = pytest.importorskip("mpmath")
         from bernstein_lab.circle_means import mahler_from_roots

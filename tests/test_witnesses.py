@@ -41,14 +41,6 @@ class TestCircleWitness:
         assert m0 == pytest.approx(self.M0_T, rel=1e-9)
         assert m0d == pytest.approx(self.M0_DT, rel=1e-9)
 
-    def test_mpmath_solve_when_compensated_steps_miss(self, monkeypatch):
-        from bernstein_lab import rootfind
-
-        monkeypatch.setattr(rootfind, "_COMPENSATED_ITER", 0)
-        T, _ = sample("roots-on-circle", 3)
-        m0 = mahler_from_roots(roots(T.to_algebraic())).value
-        assert m0 == pytest.approx(self.M0_T, rel=1e-9)
-
     def test_planted_hint_is_refined_without_a_solve(self, monkeypatch):
         from bernstein_lab import rootfind
 
